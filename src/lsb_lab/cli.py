@@ -8,7 +8,6 @@ message names the offending field), 2 completed run with failing checks,
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from ._version import __version__
 from .errors import DivergenceError, PoleError, ScenarioError
@@ -142,14 +141,15 @@ def _cmd_sweep(args, out=None):
     base_raw = sc.apply_overrides(base_raw, args.assignments, step=args.step,
                                   horizon=args.horizon)
 
-    def run_one(value):
-        # each instance writes under its own directory and shares nothing
+    worst = EXIT_OK
+    for value in values:
+        # each value writes under its own directory and shares nothing
         raw = sc.apply_overrides(base_raw, [f"{args.param}={value}"])
         scn = sc.Scenario(raw)
         label = f"{args.param}={value}"
         out_dir = os.path.join(args.out or "sweep_out",
                                label.replace("/", "_"))
-        lines = [f"--- {label}"]
+        print(f"--- {label}", file=out)
         code = EXIT_OK
         try:
             csv_path = scn.outputs.get("trajectory_csv", "trajectory.csv")
@@ -157,7 +157,8 @@ def _cmd_sweep(args, out=None):
                          sc.simulate_columns(scn))
             if scn.checks:
                 report = sc.run_checks(scn)
-                lines.extend(_report_lines(report))
+                for line in _report_lines(report):
+                    print(line, file=out)
                 sc.write_report(
                     os.path.join(out_dir,
                                  scn.outputs.get("report_json",
@@ -165,30 +166,11 @@ def _cmd_sweep(args, out=None):
                 if not report.all_passed:
                     code = EXIT_CHECK_FAILED
         except (DivergenceError, PoleError) as e:
-            lines.append(f"aborted: {e}")
+            print(f"aborted: {e}", file=out)
             code = EXIT_DIVERGED
         except ScenarioError as e:
-            lines.append(f"input error: {e}")
+            print(f"input error: {e}", file=out)
             code = EXIT_INPUT
-        return lines, code
-
-    threads = os.environ.get("LSB_LAB_THREADS")
-    if threads is not None:
-        try:
-            max_workers = max(1, int(threads))
-        except ValueError:
-            raise ScenarioError("LSB_LAB_THREADS",
-                                "must be an integer") from None
-    else:
-        max_workers = min(8, os.cpu_count() or 1)
-    max_workers = min(max_workers, len(values))
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(run_one, values))
-    worst = EXIT_OK
-    for lines, code in results:  # deterministic: original value order
-        for line in lines:
-            print(line, file=out)
         worst = max(worst, code)
     return worst
 

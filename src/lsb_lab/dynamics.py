@@ -11,6 +11,7 @@ default; explicit Euler is available for comparison runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +20,9 @@ import scipy.linalg
 from .actions import (
     ConnectionCoefficients,
     StateSpace,
+    _line_scalar,
     line_generator_polynomials,
-    riccati_coefficients,
+    moebius_line,
 )
 from .errors import DivergenceError, DomainError, PoleError
 from .groups import (
@@ -29,6 +31,7 @@ from .groups import (
     GroupId,
     InertiaOperator,
     _BASES,
+    _STRUCTURE,
     bracket,
     inertia_apply,
     inertia_solve,
@@ -49,16 +52,20 @@ __all__ = [
     "objective_value",
     "quadrature",
     "DIVERGENCE_CAP",
+    "MAX_STEPS",
 ]
 
 DIVERGENCE_CAP = 1e8
+# every integrator stores all samples, several arrays of them per run
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Uniform-grid integrator settings.
 
-    The horizon must be an integer number of steps (to one part in 1e9).
+    The horizon must be an integer number of steps (to one part in 1e9),
+    at most MAX_STEPS of them.
     """
 
     method: str = "rk4"
@@ -75,6 +82,10 @@ class IntegratorConfig:
         if self.step > self.horizon * (1 + 1e-12):
             raise DomainError("step must not exceed horizon")
         ratio = self.horizon / self.step
+        if ratio > MAX_STEPS * (1 + 1e-9):
+            raise DomainError(
+                f"horizon/step = {ratio:.6g} exceeds the limit of "
+                f"{MAX_STEPS} steps")
         if abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
                 f"horizon/step = {ratio!r} is not an integer sample count")
@@ -199,22 +210,97 @@ def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
     return inertia_solve(J, rhs)
 
 
-def _check_finite(arr, t: float, k: int, label: str):
-    a = np.asarray(arr)
-    if not np.all(np.isfinite(a)) or np.abs(a).max() > DIVERGENCE_CAP:
-        raise DivergenceError(
-            f"{label} left the finite range near t = {t:.6g}",
-            escape_time=t, last_index=k)
+# The integrators below step states held as lists of Python scalars (or of
+# arrays, for the linear flows): at three components, scalar arithmetic costs
+# a few microseconds per step where small numpy arrays cost tens.
+
+def _stepper(method: str, f, h: float):
+    """One explicit Euler or classical RK4 step of y' = f(y, c).
+
+    The returned step(y, c0, cm, c1) works componentwise on a list y of
+    scalars or arrays.  Time enters only through sampled data c: c0 at the
+    left end of the step, cm at its midpoint and c1 at its right end
+    (autonomous flows leave them None).
+    """
+    h2, h6 = h / 2.0, h / 6.0
+
+    def step(y, c0=None, cm=None, c1=None):
+        k1 = f(y, c0)
+        if method == "euler":
+            return [u + h * v for u, v in zip(y, k1)]
+        k2 = f([u + h2 * v for u, v in zip(y, k1)], cm)
+        k3 = f([u + h2 * v for u, v in zip(y, k2)], cm)
+        k4 = f([u + h * v for u, v in zip(y, k3)], c1)
+        return [u + h6 * (a + 2.0 * b + 2.0 * c + d)
+                for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return step
 
 
-def _step(method: str, f, t: float, y, h: float):
-    if method == "euler":
-        return y + h * f(t, y)
-    k1 = f(t, y)
-    k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
-    k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _modulus(v) -> float:
+    # largest modulus of a scalar or array; NaN propagates (math.hypot
+    # saturates to inf where abs() of a huge complex would raise)
+    if isinstance(v, np.ndarray):
+        return np.abs(v).max()
+    return math.hypot(v.real, v.imag)
+
+
+def _march(advance, y0: list, times: np.ndarray, message: str,
+           extrapolate: bool = False, names: tuple = ()) -> list:
+    """The states y0, ..., y_n of y_{k+1} = advance(k, y_k) on the grid.
+
+    Every new state is guarded: the first one holding a value that is not
+    finite or whose modulus exceeds DIVERGENCE_CAP stops the march with a
+    DivergenceError.  Its message is formatted with the escape time t, the
+    last finite sample time last and what, the entry of names for the first
+    component that left.  The escape time is t_{k+1}, or with extrapolate the
+    reciprocal extrapolation from step k (near a simple pole 1/|y| decays
+    linearly).
+    """
+    ys = [y0]
+    for k in range(times.size - 1):
+        y = ys[-1]
+        nxt = advance(k, y)
+        if all(_modulus(v) <= DIVERGENCE_CAP for v in nxt):
+            ys.append(nxt)
+            continue
+        mags = [_modulus(v) for v in nxt]
+        what = next((name for name, m in zip(names, mags)
+                     if not m <= DIVERGENCE_CAP), None)
+        prev_mag = max(_modulus(v) for v in y)
+        new_mag = max(mags) if all(map(math.isfinite, mags)) else math.inf
+        t_prev, t = times[k], times[k + 1]
+        if extrapolate and prev_mag < new_mag < math.inf and prev_mag > 0:
+            inv_prev, inv_new = 1.0 / prev_mag, 1.0 / new_mag
+            t = t + inv_new / ((inv_prev - inv_new) / (t - t_prev))
+        raise DivergenceError(message.format(t=t, last=t_prev, what=what),
+                              escape_time=float(t), last_index=k)
+    return ys
+
+
+def _euler_poincare_field(group: GroupId, J: InertiaOperator):
+    """euler_poincare_rhs as a closed formula on Python scalars.
+
+    The reduced field is bilinear, rhs_c = sum_ab T[c, a, b] u_a xi_b, with
+    u = xi (the starred xi on so21) and T = J^-1 C J built once from the
+    structure constants C.
+    """
+    J3, C = J.matrix3, _STRUCTURE[group]
+    starred = group is GroupId.SO21
+    if starred:
+        CJ = np.einsum("abe,bd->ead", C, J3)  # [xi*, J xi]
+    else:
+        CJ = np.einsum("ad,abe->edb", J3, C)  # [J xi, xi]
+    T = np.linalg.solve(J3, CJ.reshape(3, 9)).tolist()
+
+    def field(y, _):
+        v0, v1, v2 = y
+        u0, u1, u2 = (-v0.conjugate(), v1.conjugate(), v2.conjugate()) \
+            if starred else y
+        return [u0 * (a0 * v0 + a1 * v1 + a2 * v2)
+                + u1 * (b0 * v0 + b1 * v1 + b2 * v2)
+                + u2 * (c0 * v0 + c1 * v1 + c2 * v2)
+                for a0, a1, a2, b0, b1, b2, c0, c1, c2 in T]
+    return field
 
 
 def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
@@ -223,17 +309,14 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
     """Integrate the reduced body-velocity flow; returns a xi-only trajectory."""
     if xi0.group is not group:
         raise DomainError("initial velocity group mismatch")
+    if J.group is not group:
+        raise DomainError("group mismatch in reduced dynamics")
     times = cfg.times()
-    out = np.empty((times.size, 3), dtype=group.scalar_dtype)
-    out[0] = xi0.coeffs
-
-    def f(t, c):
-        return euler_poincare_rhs(group, J, AlgebraElement(group, c)).coeffs
-
-    for k in range(times.size - 1):
-        out[k + 1] = _step(cfg.method, f, times[k], out[k], cfg.step)
-        _check_finite(out[k + 1], times[k + 1], k, "body velocity")
-    return Trajectory(group=group, times=times, xi=out)
+    step = _stepper(cfg.method, _euler_poincare_field(group, J), cfg.step)
+    ys = _march(lambda k, y: step(y), xi0.coeffs.tolist(), times,
+                "body velocity left the finite range near t = {t:.6g}")
+    return Trajectory(group=group, times=times,
+                      xi=np.array(ys, dtype=group.scalar_dtype))
 
 
 def reconstruct_group(group: GroupId, xi_traj: Trajectory,
@@ -254,18 +337,16 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
         raise DomainError(f"unknown convention {convention!r}")
     if cfg is not None and abs(cfg.step - xi_traj.step) > 1e-12 * xi_traj.step:
         raise DomainError("config step does not match the trajectory grid")
-    times = xi_traj.times
-    h = xi_traj.step
-    n = times.size
-    gs = np.empty((n,) + g0.matrix.shape, dtype=group.scalar_dtype)
-    gs[0] = g0.matrix
-    base = _BASES[group]
-    for k in range(n - 1):
-        mid = 0.5 * (xi_traj.xi[k] + xi_traj.xi[k + 1])
-        stepm = scipy.linalg.expm(h * np.tensordot(mid, base, axes=(0, 0)))
-        gs[k + 1] = gs[k] @ stepm if convention == "body" else stepm @ gs[k]
-        _check_finite(gs[k + 1], times[k + 1], k, "group element")
-    return replace(xi_traj, g=gs)
+    xi = xi_traj.xi
+    mid = 0.5 * (xi[:-1] + xi[1:])
+    steps = scipy.linalg.expm(
+        xi_traj.step * np.tensordot(mid, _BASES[group], axes=(1, 0)))
+    body = convention == "body"
+    gs = _march(lambda k, y: [y[0] @ steps[k] if body else steps[k] @ y[0]],
+                [g0.matrix], xi_traj.times,
+                "group element left the finite range near t = {t:.6g}")
+    return replace(xi_traj,
+                   g=np.array([g for g, in gs], dtype=group.scalar_dtype))
 
 
 def _diag_coeffs(I_coeffs) -> np.ndarray:
@@ -280,6 +361,40 @@ def _diag_coeffs(I_coeffs) -> np.ndarray:
     return vals
 
 
+def _line_point(group: GroupId, *values) -> list:
+    # line states and costates as Python scalars: float on sl2r, else complex
+    space = moebius_line(group)
+    return [_line_scalar(space, v) for v in values]
+
+
+def _line_loop(group: GroupId, B: ConnectionCoefficients, I_coeffs):
+    """The optimal feedback and the closed loop on the line, as closed
+    formulas on Python scalars.
+
+    With generators X_a(x) and the quartic Q(x) = sum_a X_a(x)^2 / I_a,
+    control(x, p) is the feedback xi_a = p X_a(x) / I_a, and field([x, p])
+    is the Hamiltonian flow of H = p^2 Q(x) / 2: xdot = p Q(x) and
+    pdot = -p^2 Q'(x) / 2.
+    """
+    I = _diag_coeffs(I_coeffs)
+    rows = line_generator_polynomials(group, B)
+    q = sum(np.convolve(r, r) / i for r, i in zip(rows, I))
+    scalar = complex if group.is_complex else float
+    gens = [[scalar(c) for c in r / i] for r, i in zip(rows, I)]
+    q0, q1, q2, q3, q4 = map(scalar, q)
+    d1, d2, d3 = 2.0 * q2, 3.0 * q3, 4.0 * q4
+
+    def control(x, p):
+        return [p * (c0 + x * (c1 + x * c2)) for c0, c1, c2 in gens]
+
+    def field(y, _=None):
+        x, p = y
+        Q = q0 + x * (q1 + x * (q2 + x * (q3 + x * q4)))
+        dQ = q1 + x * (d1 + x * (d2 + x * d3))
+        return [p * Q, -0.5 * p * p * dQ]
+    return control, field
+
+
 def feedback_solve(group: GroupId, B: ConnectionCoefficients, I_coeffs,
                    x, p) -> AlgebraElement:
     """Optimal control on the line: xi_a = p X_a(x) / I_a.
@@ -287,53 +402,21 @@ def feedback_solve(group: GroupId, B: ConnectionCoefficients, I_coeffs,
     This is the stationary point of the costate Hamiltonian in the control;
     for the diagonal cost the stationarity is slot-by-slot.
     """
-    I = _diag_coeffs(I_coeffs)
-    rows = line_generator_polynomials(group, B)
-    xv, pv = complex(x), complex(p)
-    if not group.is_complex and (xv.imag != 0 or pv.imag != 0):
-        raise DomainError("states and costates on this line are real")
-    gen = rows[:, 0] + rows[:, 1] * xv + rows[:, 2] * xv * xv
-    coeffs = pv * gen / I
-    if not group.is_complex:
-        coeffs = np.real(coeffs)
-    return AlgebraElement(group, coeffs)
+    control, _ = _line_loop(group, B, I_coeffs)
+    return AlgebraElement(group, control(*_line_point(group, x, p)))
 
 
 def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients, I_coeffs,
                     x, p):
     """Feedback-substituted extremal field on the line.
 
-    Defined by substituting the optimal feedback into the control
-    coefficients: xdot = a x^2 + b x + c and pdot = -(2 a x + b) p with
-    (a, b, c) evaluated at the feedback control.
+    Substituting the optimal feedback into the control coefficients gives
+    xdot = a x^2 + b x + c and pdot = -(2 a x + b) p with (a, b, c)
+    evaluated at the feedback control.  Evaluated in the equal closed form
+    xdot = p Q(x), pdot = -p^2 Q'(x) / 2 with Q(x) = sum_a X_a(x)^2 / I_a.
     """
-    xi = feedback_solve(group, B, I_coeffs, x, p)
-    a, b, c = riccati_coefficients(group, xi, B)
-    xdot = a * x * x + b * x + c
-    pdot = -(2.0 * a * x + b) * p
-    return xdot, pdot
-
-
-def _step_sampled(method: str, rhs, y, h: float, s0, sm, s1):
-    # one step of a flow whose time dependence enters only through sampled
-    # data (s0 at the left endpoint, sm at the midpoint, s1 at the right)
-    if method == "euler":
-        return y + h * rhs(y, s0)
-    k1 = rhs(y, s0)
-    k2 = rhs(y + (h / 2.0) * k1, sm)
-    k3 = rhs(y + (h / 2.0) * k2, sm)
-    k4 = rhs(y + h * k3, s1)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _escape_estimate(t_prev: float, prev_mag: float, t_new: float,
-                     new_mag: float) -> float:
-    # reciprocal extrapolation: near a simple pole 1/|x| decays linearly
-    if not np.isfinite(new_mag) or new_mag <= prev_mag or prev_mag <= 0:
-        return t_new
-    inv_prev, inv_new = 1.0 / prev_mag, 1.0 / new_mag
-    slope = (inv_prev - inv_new) / (t_new - t_prev)
-    return t_new + inv_new / slope
+    _, field = _line_loop(group, B, I_coeffs)
+    return tuple(field(_line_point(group, x, p)))
 
 
 def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
@@ -351,36 +434,16 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
     group = space.group
     times = cfg.times()
     n = times.size
+    dtype = group.scalar_dtype
     if space.is_line:
-        I = _diag_coeffs(J)
-        dtype = group.scalar_dtype
-        xs = np.empty(n, dtype=dtype)
-        ps = np.empty(n, dtype=dtype)
-        xs[0], ps[0] = x0, p0
-
-        def f(t, y):
-            xd, pd = closed_loop_rhs(group, B, I, y[0], y[1])
-            return np.array([xd, pd], dtype=dtype)
-
-        for k in range(n - 1):
-            y = _step(cfg.method, f, times[k], np.array([xs[k], ps[k]]),
-                      cfg.step)
-            bad = (not np.all(np.isfinite(y))) or np.abs(y).max() > DIVERGENCE_CAP
-            if bad:
-                prev = max(abs(xs[k]), abs(ps[k]))
-                mag = np.abs(y).max() if np.all(np.isfinite(y)) else np.inf
-                est = _escape_estimate(times[k], prev, times[k + 1], mag)
-                raise DivergenceError(
-                    f"extremal escaped near t = {est:.6g} "
-                    f"(last finite sample at t = {times[k]:.6g})",
-                    escape_time=float(est), last_index=k)
-            xs[k + 1], ps[k + 1] = y
-        xis = np.empty((n, 3), dtype=dtype)
-        xdot = np.empty(n, dtype=dtype)
-        pdot = np.empty(n, dtype=dtype)
-        for k in range(n):
-            xis[k] = feedback_solve(group, B, I, xs[k], ps[k]).coeffs
-            xdot[k], pdot[k] = closed_loop_rhs(group, B, I, xs[k], ps[k])
+        control, field = _line_loop(group, B, J)
+        step = _stepper(cfg.method, field, cfg.step)
+        ys = _march(lambda k, y: step(y), _line_point(group, x0, p0), times,
+                    "extremal escaped near t = {t:.6g} (last finite sample "
+                    "at t = {last:.6g})", extrapolate=True)
+        xs, ps = np.array(ys, dtype=dtype).T
+        xis = np.array([control(x, p) for x, p in ys], dtype=dtype)
+        xdot, pdot = np.array([field(y) for y in ys], dtype=dtype).T
         return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps,
                           xdot=xdot, pdot=pdot)
 
@@ -390,24 +453,19 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
         raise DomainError("control trajectory grid does not match the config")
     if not isinstance(x0, GroupElement) or x0.group is not group:
         raise DomainError("x0 must be a group element of the space's group")
-    base = _BASES[group]
-    mats = np.tensordot(xi_traj.xi, base, axes=(1, 0))  # (n, d, d)
-    d = group.dim
-    xs = np.empty((n, d, d), dtype=group.scalar_dtype)
-    ps = np.empty((n, d, d), dtype=group.scalar_dtype)
-    xs[0] = x0.matrix
-    ps[0] = np.asarray(p0, dtype=group.scalar_dtype)
+    mats = np.tensordot(xi_traj.xi, _BASES[group], axes=(1, 0))  # (n, d, d)
+    # the lift is linear, so every step is a product with the propagator
+    # that one Euler or RK4 step applies to the identity
+    step = _stepper(cfg.method, lambda y, m: [y[0] @ m], cfg.step)
+    eye = np.broadcast_to(np.eye(group.dim, dtype=dtype), mats[1:].shape)
+    prop, = step([eye], mats[:-1], 0.5 * (mats[:-1] + mats[1:]), mats[1:])
 
-    def lift(y, m):
-        return y @ m
-
-    for k in range(n - 1):
-        m0, m1 = mats[k], mats[k + 1]
-        mm = 0.5 * (m0 + m1)
-        xs[k + 1] = _step_sampled(cfg.method, lift, xs[k], cfg.step, m0, mm, m1)
-        ps[k + 1] = _step_sampled(cfg.method, lift, ps[k], cfg.step, m0, mm, m1)
-        _check_finite(xs[k + 1], times[k + 1], k, "state")
-        _check_finite(ps[k + 1], times[k + 1], k, "costate")
+    ys = _march(lambda k, y: [y[0] @ prop[k], y[1] @ prop[k]],
+                [x0.matrix, np.asarray(p0, dtype=dtype)], times,
+                "{what} left the finite range near t = {t:.6g}",
+                names=("state", "costate"))
+    xs = np.array([x for x, _ in ys], dtype=dtype)
+    ps = np.array([p for _, p in ys], dtype=dtype)
     xdot = np.einsum("kij,kjl->kil", xs, mats)
     pdot = np.einsum("kij,kjl->kil", ps, mats)
     return Trajectory(group=group, times=times, xi=xi_traj.xi.copy(), x=xs,
@@ -435,30 +493,20 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     n = times.size
     if xi.shape != (n, 3):
         raise DomainError("control samples do not match the config grid")
-    dtype = group.scalar_dtype
-    rows = line_generator_polynomials(group, B)
-    polys = xi @ rows  # (n, 3) coefficient rows (c0, c1, c2)
-    xs = np.empty(n, dtype=dtype)
-    xs[0] = x0
-    xdot = np.empty(n, dtype=dtype)
+    polys = xi @ line_generator_polynomials(group, B)  # rows (c0, c1, c2)
+    ends = polys.tolist()
+    mids = (0.5 * (polys[:-1] + polys[1:])).tolist()
 
     def field(y, c):
-        return c[0] + c[1] * y + c[2] * y * y
+        x, = y
+        return [c[0] + c[1] * x + c[2] * x * x]
 
-    for k in range(n - 1):
-        cm = 0.5 * (polys[k] + polys[k + 1])
-        xs[k + 1] = _step_sampled(cfg.method, field, xs[k], cfg.step,
-                                  polys[k], cm, polys[k + 1])
-        val = xs[k + 1]
-        if not np.isfinite(val) or abs(val) > DIVERGENCE_CAP:
-            mag = abs(val) if np.isfinite(val) else np.inf
-            est = _escape_estimate(times[k], abs(xs[k]), times[k + 1], mag)
-            raise DivergenceError(
-                f"line solution escaped near t = {est:.6g}",
-                escape_time=float(est), last_index=k)
-    for k in range(n):
-        c = polys[k]
-        xdot[k] = c[0] + c[1] * xs[k] + c[2] * xs[k] * xs[k]
+    step = _stepper(cfg.method, field, cfg.step)
+    ys = _march(lambda k, y: step(y, ends[k], mids[k], ends[k + 1]),
+                _line_point(group, x0), times,
+                "line solution escaped near t = {t:.6g}", extrapolate=True)
+    xs = np.array([x for x, in ys], dtype=group.scalar_dtype)
+    xdot = polys[:, 0] + polys[:, 1] * xs + polys[:, 2] * xs * xs
     return Trajectory(group=group, times=times, xi=np.array(xi, copy=True),
                       x=xs, xdot=xdot)
 

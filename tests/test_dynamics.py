@@ -11,6 +11,7 @@ from lsb_lab import (
     DivergenceError,
     DomainError,
     GroupId,
+    InertiaOperator,
     IntegratorConfig,
     PoleError,
     SymmetricSolutionParams,
@@ -47,6 +48,8 @@ def test_integrator_config_validation():
         IntegratorConfig("rk4", 2.0, 1.0)
     with pytest.raises(DomainError):
         IntegratorConfig("rk4", 0.3, 1.0)  # horizon not a step multiple
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        IntegratorConfig("rk4", 2.0 ** -30, 1.0)  # 1.07e9 samples to store
 
 
 def test_trajectory_grid_validation():
@@ -87,6 +90,71 @@ def test_principal_axis_spin_is_stationary():
     tr = integrate_euler_poincare(GroupId.SO3, J, xi0,
                                   IntegratorConfig("rk4", 1e-2, 1.0))
     assert np.all(tr.xi == tr.xi[0])
+
+
+def _reference_rk4(f, y0, h, n):
+    # textbook RK4 on numpy arrays, one per-point right-hand side per stage
+    ys = [np.asarray(y0)]
+    for _ in range(n):
+        y = ys[-1]
+        k1 = f(y)
+        k2 = f(y + (h / 2.0) * k1)
+        k3 = f(y + (h / 2.0) * k2)
+        k4 = f(y + h * k3)
+        ys.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(ys)
+
+
+@pytest.mark.parametrize("group,xi0", [
+    (GroupId.SO3, [0.8, 0.3, -0.4]),
+    (GroupId.SU2, [0.6, -0.2, 0.5]),
+    (GroupId.SL2R, [0.3, -0.5, 0.4]),
+    (GroupId.SO21, [0.4 + 0.1j, -0.3, 0.2 - 0.2j]),  # starred variant
+])
+def test_euler_poincare_matches_reference_rk4(group, xi0):
+    """The closed-form core agrees with RK4 stepped through the public
+    per-point euler_poincare_rhs, for a dense (non-diagonal) inertia."""
+    J = InertiaOperator(group, [[2.0, 0.3, 0.1],
+                                [0.3, 1.5, -0.2],
+                                [0.1, -0.2, 1.0]])
+    cfg = IntegratorConfig("rk4", 0.01, 1.0)
+    tr = integrate_euler_poincare(group, J, AlgebraElement(group, xi0), cfg)
+    ref = _reference_rk4(
+        lambda c: euler_poincare_rhs(group, J, AlgebraElement(group, c)).coeffs,
+        np.asarray(xi0, dtype=group.scalar_dtype), cfg.step, cfg.n_steps)
+    assert np.abs(tr.xi - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+LINE_CASES = [
+    (GroupId.SL2R, 0.3, -0.6),
+    (GroupId.SU2, 0.2 + 0.1j, 0.5 - 0.2j),
+    (GroupId.SO21, 0.3 - 0.2j, 0.2 + 0.1j),
+]
+LINE_B = ConnectionCoefficients(np.array([1.1, 0.7, 1.3]))
+LINE_I = (1.0, 2.0, 1.5)
+
+
+@pytest.mark.parametrize("group,x0,p0", LINE_CASES)
+def test_line_extremal_matches_reference_rk4(group, x0, p0):
+    cfg = IntegratorConfig("rk4", 0.01, 1.0)
+    ext = integrate_extremal(moebius_line(group), LINE_B, LINE_I, x0, p0, cfg)
+    ref = _reference_rk4(
+        lambda y: np.array(closed_loop_rhs(group, LINE_B, LINE_I, *y)),
+        np.array([x0, p0], dtype=group.scalar_dtype), cfg.step, cfg.n_steps)
+    scale = max(1.0, np.abs(ref).max())
+    assert np.abs(ext.x - ref[:, 0]).max() <= 1e-13 * scale
+    assert np.abs(ext.p - ref[:, 1]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("group,x0,p0", LINE_CASES)
+def test_line_extremal_conserves_hamiltonian(group, x0, p0):
+    """H = p^2 Q(x) / 2 with Q = sum_a X_a^2 / I_a is a first integral of
+    the closed loop; on the stored feedback it reads sum_a I_a xi_a^2 / 2."""
+    ext = integrate_extremal(moebius_line(group), LINE_B, LINE_I, x0, p0,
+                             IntegratorConfig("rk4", 1e-3, 1.0))
+    H = 0.5 * (np.asarray(LINE_I) * ext.xi ** 2).sum(axis=1)
+    assert abs(H[0]) > 0.01
+    assert np.abs(H - H[0]).max() <= 1e-12
 
 
 def test_reconstruction_constant_control_exact():
@@ -189,6 +257,19 @@ def test_line_extremal_divergence_reported():
     assert err.escape_time == pytest.approx(0.9682780395712847, rel=1e-9)
     assert err.last_index == 963
     assert "0.968" in str(err)
+
+
+def test_line_extremal_rk4_divergence_reported():
+    # exact pole at t* = (arctan 0.5 + pi/2) / 2.5 = 0.8138; the fixed rk4
+    # step crosses it and the state leaves the cap two steps later
+    with pytest.raises(DivergenceError) as info:
+        integrate_extremal(moebius_line(GroupId.SL2R), B_ONE,
+                           (1.0, 1.0, 2.0), 0.5, -2.0,
+                           IntegratorConfig("rk4", 1e-2, 2.0))
+    err = info.value
+    assert err.escape_time == pytest.approx(0.83, rel=1e-12)
+    assert err.last_index == 82
+    assert "(last finite sample at t = 0.82)" in str(err)
 
 
 def test_driven_line_flow_exact_solution():

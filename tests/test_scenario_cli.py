@@ -95,6 +95,7 @@ def test_scenario_parses_minimal_inputs():
     ({"integrator": "leapfrog"}, "integrator"),
     ({"checks": ["unknown_check"]}, "checks[0]"),
     ({"extra_field": 1}, "extra_field"),
+    ({"step": 2.0 ** -30}, "step"),  # 1.07e9 samples: refused, not allocated
 ])
 def test_scenario_error_names_field(patch, field):
     with pytest.raises(ScenarioError) as info:
@@ -288,6 +289,21 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert "FAIL closed_form:" in out
 
 
+def test_cli_verify_rk4_order_at_roundoff_fails_the_check(tmp_path, capsys):
+    # at horizon 0.1 the order check's steps (0.01, 0.005, 0.00125) leave
+    # terminal errors at roundoff, where no order can be measured
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "scenarios", "rigid_body_so3.json")
+    assert main(["verify", demo, "--horizon", "0.1",
+                 "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL rk4_order: residual inf" in out
+    assert "PASS energy_conservation" in out
+    report = json.loads((tmp_path / "rigid_body_so3_report.json").read_text())
+    entry = next(c for c in report["checks"] if c["name"] == "rk4_order")
+    assert not entry["passed"] and "roundoff" in entry["details"]
+
+
 def test_cli_input_error_paths(tmp_path, capsys):
     path = _write(tmp_path, _rigid())
     assert main(["simulate", path, "--step", "2.0"]) == 1
@@ -319,17 +335,9 @@ def test_cli_sweep_runs_every_value(tmp_path, capsys):
     path = _write(tmp_path, _riccati(
         checks=["cross_ratio"],
         outputs={"trajectory_csv": "t.csv", "report_json": "r.json"}))
-    env_threads = os.environ.get("LSB_LAB_THREADS")
-    os.environ["LSB_LAB_THREADS"] = "2"
-    try:
-        code = main(["sweep", path, "--param", "initial.p0",
-                     "--values=-1.0,-0.5,2.0",
-                     "--out", str(tmp_path / "swp")])
-    finally:
-        if env_threads is None:
-            del os.environ["LSB_LAB_THREADS"]
-        else:
-            os.environ["LSB_LAB_THREADS"] = env_threads
+    code = main(["sweep", path, "--param", "initial.p0",
+                 "--values=-1.0,-0.5,2.0",
+                 "--out", str(tmp_path / "swp")])
     # the p0=2.0 instance aborts when a family member escapes; the sweep
     # reports it, keeps the other instances, and exits with the worst code
     assert code == 3
