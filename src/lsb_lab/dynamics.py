@@ -53,11 +53,14 @@ __all__ = [
     "quadrature",
     "DIVERGENCE_CAP",
     "MAX_STEPS",
+    "METHODS",
 ]
 
 DIVERGENCE_CAP = 1e8
 # every integrator stores all samples, several arrays of them per run
 MAX_STEPS = 10**6
+# the integrator names a config accepts
+METHODS = ("rk4", "euler")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class IntegratorConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.method not in ("rk4", "euler"):
+        if self.method not in METHODS:
             raise DomainError(f"unknown method {self.method!r}")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise DomainError("step must be positive and finite")

@@ -8,6 +8,7 @@ writes, no timestamps).
 """
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from .actions import (
     moebius_line,
 )
 from .dynamics import (
+    METHODS,
     IntegratorConfig,
     SymmetricSolutionParams,
     Trajectory,
@@ -42,7 +44,6 @@ from .groups import (
     AlgebraElement,
     GroupElement,
     GroupId,
-    InertiaOperator,
     constraint_residual,
     group_identity,
     inertia_anticommutator,
@@ -58,14 +59,9 @@ from .verify import (
     check_cross_ratio,
     check_equivalence_rigid,
     check_rk4_order,
+    min_norm_costate,
 )
 
-RIGID_GROUPS = ("so3", "su2")
-RICCATI_GROUPS = ("sl2r", "su2", "so21")
-RIGID_CHECKS = ("equivalence_rigid", "energy_conservation",
-                "casimir_conservation", "rk4_order", "action_equality")
-RICCATI_CHECKS = ("cross_ratio", "action_equality", "closed_form",
-                  "closed_loop_audit")
 # fixed offsets generating the four-solution family for the cross-ratio
 CROSS_RATIO_OFFSETS = (0.0, 0.4, -0.4, 0.9)
 
@@ -96,18 +92,16 @@ class Scenario:
                 f"got {group_name!r}") from None
 
         self.problem = raw["problem"]
-        if self.problem == "rigid_body":
-            if self.group.value not in RIGID_GROUPS:
-                raise ScenarioError(
-                    "problem", "rigid_body requires group so3 or su2")
-        elif self.problem == "riccati":
-            if self.group.value not in RICCATI_GROUPS:
-                raise ScenarioError(
-                    "problem", "riccati requires group sl2r, su2 or so21")
-        else:
+        # compared as a tuple: a list or object here is unhashable
+        if self.problem not in tuple(PROBLEMS):
             raise ScenarioError(
-                "problem", f"must be rigid_body or riccati; "
+                "problem", f"must be one of {', '.join(PROBLEMS)}; "
                 f"got {self.problem!r}")
+        groups = PROBLEMS[self.problem][0]
+        if self.group.value not in groups:
+            raise ScenarioError(
+                "problem", f"{self.problem} requires one of the groups "
+                f"{', '.join(groups)}")
 
         self.inertia = _parse_inertia(self.group, raw["inertia"])
         conn = _parse_real_vector(raw["connection"], "connection", 3)
@@ -118,9 +112,10 @@ class Scenario:
         if self.step > self.horizon:
             raise ScenarioError("step", "step must not exceed the horizon")
         self.integrator = raw.get("integrator", "rk4")
-        if self.integrator not in ("rk4", "euler"):
+        if self.integrator not in METHODS:
             raise ScenarioError(
-                "integrator", f"must be rk4 or euler; got {self.integrator!r}")
+                "integrator", f"must be one of {', '.join(METHODS)}; "
+                f"got {self.integrator!r}")
         try:
             self.config = IntegratorConfig(self.integrator, self.step,
                                            self.horizon)
@@ -137,6 +132,24 @@ class Scenario:
             return self.inertia.diagonal_coefficients()
         except DomainError as e:
             raise ScenarioError("inertia", str(e)) from None
+
+    # Trajectories shared by the checks, the CSV and the compare table:
+    # integrated on first use, at most once per scenario.
+
+    @functools.cached_property
+    def reduced_flow(self):
+        """Euler-Poincare flow from initial.xi0 (rigid_body problems)."""
+        return integrate_euler_poincare(
+            self.group, self.inertia,
+            AlgebraElement(self.group, self.initial["xi0"]), self.config)
+
+    @functools.cached_property
+    def line_extremal(self):
+        """Line extremal from (initial.x0, initial.p0) (riccati problems)."""
+        return integrate_extremal(
+            moebius_line(self.group), self.connection,
+            self.inertia_coefficients, self.initial["x0"],
+            self.initial["p0"], self.config)
 
 
 def _require_object(v, path):
@@ -264,38 +277,33 @@ def _parse_initial(scn, v):
 def _parse_checks(scn, v):
     if not isinstance(v, list) or any(not isinstance(c, str) for c in v):
         raise ScenarioError("checks", "must be a list of check names")
-    valid = RIGID_CHECKS if scn.problem == "rigid_body" else RICCATI_CHECKS
+    valid = PROBLEMS[scn.problem][1]
     for i, name in enumerate(v):
         if name not in valid:
             raise ScenarioError(
                 f"checks[{i}]",
                 f"unknown check {name!r} for problem {scn.problem}; "
                 f"valid names: {', '.join(valid)}")
-        if name == "rk4_order" and scn.integrator != "rk4":
-            raise ScenarioError(
-                f"checks[{i}]", "rk4_order requires the rk4 integrator")
-        if name == "closed_loop_audit" and scn.group is not GroupId.SL2R:
-            raise ScenarioError(
-                f"checks[{i}]", "closed_loop_audit is defined on sl2r")
-        if name == "closed_form":
-            coeffs = scn.inertia_coefficients
-            if abs(coeffs[0] - coeffs[1]) > 1e-12 * max(1.0, abs(coeffs[0])):
-                raise ScenarioError(
-                    f"checks[{i}]",
-                    "closed_form requires equal transverse inertia "
-                    "(I_plus == I_minus)")
+        precondition = valid[name][0]
+        unmet = precondition(scn) if precondition else None
+        if unmet is not None:
+            raise ScenarioError(f"checks[{i}]", f"{name} requires {unmet[1]}")
     return tuple(v)
 
 
 def _parse_outputs(v):
     _require_object(v, "outputs")
-    allowed = {"trajectory_csv", "report_json"}
-    for key in v:
-        if key not in allowed:
+    for key, path in v.items():
+        if key not in ("trajectory_csv", "report_json"):
             raise ScenarioError(f"outputs.{key}", "unknown field")
-        if not isinstance(v[key], str) or not v[key]:
+        if not isinstance(path, str) or not path:
             raise ScenarioError(f"outputs.{key}",
                                 "must be a non-empty path string")
+        # outputs land under the run's output directory (--out, or one
+        # directory per sweep value), never beside or above it
+        if os.path.isabs(path) or ".." in path.replace(os.sep, "/").split("/"):
+            raise ScenarioError(f"outputs.{key}",
+                                "must be a relative path without '..'")
     return dict(v)
 
 
@@ -374,28 +382,6 @@ def scenario_digest(raw):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _min_norm_costate(group, J3, xi0, x0m):
-    # momentum matching at t=0 pins the skew part of x0^H p0; zero the rest
-    M0 = AlgebraElement(group, np.asarray(J3) @ np.asarray(xi0)).matrix()
-    return np.linalg.solve(x0m.conj().T, M0 / 2.0)
-
-
-def _rigid_trajectories(scn):
-    ep = integrate_euler_poincare(
-        scn.group, scn.inertia,
-        AlgebraElement(scn.group, scn.initial["xi0"]), scn.config)
-    g = reconstruct_group(scn.group, ep, scn.initial["g0"],
-                          convention="body")
-    return ep, g
-
-
-def _riccati_extremal(scn):
-    I_coeffs = scn.inertia_coefficients
-    return integrate_extremal(
-        moebius_line(scn.group), scn.connection, I_coeffs,
-        scn.initial["x0"], scn.initial["p0"], scn.config)
-
-
 def _split_columns(name, values):
     values = np.asarray(values)
     if np.iscomplexobj(values):
@@ -419,13 +405,15 @@ _XI_NAMES = ("xi_plus", "xi_minus", "xi_zero")
 def simulate_columns(scn):
     """Run the scenario's simulation and return ordered CSV columns."""
     if scn.problem == "rigid_body":
-        ep, g = _rigid_trajectories(scn)
+        ep = scn.reduced_flow
+        g = reconstruct_group(scn.group, ep, scn.initial["g0"],
+                              convention="body")
         cols = [("t", ep.times)]
         for a, nm in enumerate(_XI_NAMES):
             cols.extend(_split_columns(nm, ep.xi[:, a]))
         cols.extend(_matrix_columns("g", g.g))
         return cols
-    ext = _riccati_extremal(scn)
+    ext = scn.line_extremal
     cols = [("t", ext.times)]
     cols.extend(_split_columns("x", ext.x))
     cols.extend(_split_columns("p", ext.p))
@@ -445,9 +433,9 @@ def symmetric_params_from_feedback(scn):
     """Closed-form parameters implied by the scenario's initial point.
 
     The initial control is the optimal feedback at (x0, p0); its slot
-    values seed the closed-form constants.  Requires equal transverse
-    inertia, which scenario validation has already enforced for the
-    closed_form check.
+    values seed the closed-form constants.  Requires what
+    _symmetric_family checks: equal transverse inertia and nonzero
+    connection coefficients.
     """
     I_coeffs = scn.inertia_coefficients
     fb = feedback_solve(scn.group, scn.connection, I_coeffs,
@@ -461,72 +449,127 @@ def symmetric_params_from_feedback(scn):
         xi_minus0=_maybe_real(fb.coeffs[1]))
 
 
+# Parse-time preconditions: None when the scenario admits the check,
+# otherwise (offending field, what the check requires).
+
+def _rk4_only(scn):
+    return (None if scn.integrator == "rk4"
+            else ("integrator", "the rk4 integrator"))
+
+
+def _sl2r_only(scn):
+    return None if scn.group is GroupId.SL2R else ("group", "group sl2r")
+
+
+def _symmetric_family(scn):
+    # the closed-form family's own domain (SymmetricSolutionParams)
+    coeffs = scn.inertia_coefficients
+    if abs(coeffs[0] - coeffs[1]) > 1e-12 * max(1.0, abs(coeffs[0])):
+        return "inertia", "equal transverse inertia (I_plus == I_minus)"
+    if np.prod(scn.connection.diag) == 0:
+        return "connection", "nonzero connection coefficients"
+    return None
+
+
+# Runners: each returns a tuple of CheckResults and reads the scenario's
+# cached trajectories.  Check and integrator functions are looked up in
+# this module at call time, so a patched binding (a test's counter, the
+# benchmark's tracer) sees every call.
+
+def _equivalence_rigid(scn):
+    ep = scn.reduced_flow
+    neg = Trajectory(group=scn.group, times=ep.times, xi=-ep.xi)
+    g_flow = reconstruct_group(scn.group, neg, group_identity(scn.group),
+                               convention="spatial")
+    return check_equivalence_rigid(scn.inertia, g_flow, ep,
+                                   scn.initial["x0"])
+
+
+def _conservation(scn):
+    return check_conservation(scn.inertia, scn.reduced_flow)
+
+
+def _rk4_order(scn):
+    coarse = IntegratorConfig("rk4", scn.horizon / 10.0, scn.horizon)
+    try:
+        return (check_rk4_order(scn.group, scn.inertia, scn.initial["xi0"],
+                                coarse),)
+    except DegenerateInputError as e:
+        # no measurable order at roundoff: a failing entry, gated like
+        # the check's own band |ratio - 16| <= 4
+        return (CheckResult.from_residual(
+            "rk4_order", np.inf, 4.0,
+            details=f"order not measurable: {e}"),)
+
+
+def _manifold_action_equality(scn):
+    x0, p0 = scn.initial["x0"], scn.initial["p0"]
+    if p0 is None:
+        p0 = min_norm_costate(scn.group, scn.inertia.matrix3,
+                              scn.initial["xi0"], x0.matrix)
+    ext = integrate_extremal(
+        group_manifold(scn.group), scn.connection, scn.inertia, x0, p0,
+        scn.config, xi_traj=scn.reduced_flow)
+    return (check_action_equality(scn.inertia, scn.connection, ext),)
+
+
+def _cross_ratio(scn):
+    xi = scn.line_extremal.xi
+    return (check_cross_ratio(
+        [integrate_riccati(scn.group, scn.connection, xi,
+                           scn.initial["x0"] + d, scn.config)
+         for d in CROSS_RATIO_OFFSETS]),)
+
+
+def _line_action_equality(scn):
+    return (check_action_equality(scn.inertia, scn.connection,
+                                  scn.line_extremal),)
+
+
+def _closed_form(scn):
+    return (check_closed_form(scn.group, symmetric_params_from_feedback(scn),
+                              scn.config),)
+
+
+def _closed_loop_audit(scn):
+    return (check_closed_loop_audit(),)
+
+
+# problem -> (groups it is defined on,
+#             {check name: (parse-time precondition or None, runner)});
+# input errors list the valid check names in this order
+PROBLEMS = {
+    "rigid_body": (("so3", "su2"), {
+        "equivalence_rigid": (None, _equivalence_rigid),
+        "energy_conservation": (None, _conservation),
+        "casimir_conservation": (None, _conservation),
+        "rk4_order": (_rk4_only, _rk4_order),
+        "action_equality": (None, _manifold_action_equality),
+    }),
+    "riccati": (("sl2r", "su2", "so21"), {
+        "cross_ratio": (None, _cross_ratio),
+        "action_equality": (None, _line_action_equality),
+        "closed_form": (_symmetric_family, _closed_form),
+        "closed_loop_audit": (_sl2r_only, _closed_loop_audit),
+    }),
+}
+
+
 def run_checks(scn):
-    """Execute the scenario's check list and assemble the report."""
+    """Execute the scenario's check list and assemble the report.
+
+    A runner serving several names (energy and Casimir drift) runs once;
+    each name takes the entries it labels.
+    """
+    checks = PROBLEMS[scn.problem][1]
+    results = {}
     entries = []
-    if scn.problem == "rigid_body":
-        ep = None
-        if scn.checks:
-            ep = integrate_euler_poincare(
-                scn.group, scn.inertia,
-                AlgebraElement(scn.group, scn.initial["xi0"]), scn.config)
-        for name in scn.checks:
-            if name == "equivalence_rigid":
-                neg = Trajectory(group=scn.group, times=ep.times, xi=-ep.xi)
-                g_flow = reconstruct_group(
-                    scn.group, neg, group_identity(scn.group),
-                    convention="spatial")
-                entries.extend(check_equivalence_rigid(
-                    scn.inertia, g_flow, ep, scn.initial["x0"]))
-            elif name == "energy_conservation":
-                entries.append(check_conservation(scn.inertia, ep)[0])
-            elif name == "casimir_conservation":
-                entries.append(check_conservation(scn.inertia, ep)[1])
-            elif name == "rk4_order":
-                coarse = IntegratorConfig("rk4", scn.horizon / 10.0,
-                                          scn.horizon)
-                try:
-                    entries.append(check_rk4_order(
-                        scn.group, scn.inertia,
-                        AlgebraElement(scn.group, scn.initial["xi0"]),
-                        coarse))
-                except DegenerateInputError as e:
-                    # no measurable order at roundoff: a failing entry,
-                    # gated like the check's own band |ratio - 16| <= 4
-                    entries.append(CheckResult.from_residual(
-                        "rk4_order", np.inf, 4.0,
-                        details=f"order not measurable: {e}"))
-            elif name == "action_equality":
-                x0 = scn.initial["x0"]
-                p0 = scn.initial["p0"]
-                if p0 is None:
-                    p0 = _min_norm_costate(scn.group, scn.inertia.matrix3,
-                                           scn.initial["xi0"], x0.matrix)
-                ext = integrate_extremal(
-                    group_manifold(scn.group), scn.connection, scn.inertia,
-                    x0, p0, scn.config, xi_traj=ep)
-                entries.append(check_action_equality(
-                    scn.inertia, scn.connection, ext))
-    else:
-        ext = None
-        for name in scn.checks:
-            if name in ("cross_ratio", "action_equality") and ext is None:
-                ext = _riccati_extremal(scn)
-            if name == "cross_ratio":
-                x0 = scn.initial["x0"]
-                fam = [integrate_riccati(scn.group, scn.connection, ext.xi,
-                                         x0 + d, scn.config)
-                       for d in CROSS_RATIO_OFFSETS]
-                entries.append(check_cross_ratio(fam))
-            elif name == "action_equality":
-                entries.append(check_action_equality(
-                    scn.inertia, scn.connection, ext))
-            elif name == "closed_form":
-                params = symmetric_params_from_feedback(scn)
-                entries.append(check_closed_form(scn.group, params,
-                                                 scn.config))
-            elif name == "closed_loop_audit":
-                entries.append(check_closed_loop_audit())
+    for name in scn.checks:
+        runner = checks[name][1]
+        if runner not in results:
+            results[runner] = runner(scn)
+        entries.extend(e for e in results[runner]
+                       if e.name.partition(".")[0] == name)
     return VerificationReport(tuple(entries),
                               scenario_digest=scenario_digest(scn.raw))
 
@@ -540,11 +583,13 @@ def compare_table(scn, max_rows=21):
     """
     if scn.problem != "riccati":
         raise ScenarioError("problem", "compare requires the riccati problem")
+    unmet = _symmetric_family(scn)
+    if unmet is not None:
+        raise ScenarioError(unmet[0], f"compare requires {unmet[1]}")
     params = symmetric_params_from_feedback(scn)
     escape = None
-    cfg = scn.config
     try:
-        num = _riccati_extremal(scn)
+        num = scn.line_extremal
     except DivergenceError as e:
         escape = e.escape_time
         if e.last_index < 2:

@@ -127,6 +127,16 @@ def _inertia_matrix3(group: GroupId, J_in) -> np.ndarray:
     return np.asarray(J_in, dtype=np.float64)
 
 
+def min_norm_costate(group: GroupId, J3, xi0, x0m):
+    """Costate p0 at the state matrix x0m matching the momentum J3 xi0.
+
+    Momentum matching at t = 0 pins only the skew part of x0^H p0; the
+    minimum-norm choice zeroes the rest: x0^H p0 = M0 / 2.
+    """
+    M0 = AlgebraElement(group, np.asarray(J3) @ np.asarray(xi0)).matrix()
+    return np.linalg.solve(np.asarray(x0m).conj().T, M0 / 2.0)
+
+
 def check_equivalence_rigid(J_in, g_traj, xi_traj, x0):
     """Certify the two-sided correspondence on a rigid-body run.
 
@@ -160,10 +170,7 @@ def check_equivalence_rigid(J_in, g_traj, xi_traj, x0):
                      dtype=group.scalar_dtype)
     xs = np.einsum("ij,kjl->kil", x0m, ginv)
 
-    # momentum matching at t = 0 pins only the skew part of x0^H p0;
-    # the minimum-norm choice zeroes the rest: x0^H p0 = M0 / 2
-    M0 = AlgebraElement(group, J3 @ xi[0]).matrix()
-    p0 = np.linalg.solve(x0m.conj().T, M0 / 2.0)
+    p0 = min_norm_costate(group, J3, xi[0], x0m)
     ps = np.einsum("ij,kjl->kil", p0, ginv)
 
     ximats = np.tensordot(xi, base, axes=(1, 0)).astype(group.scalar_dtype)

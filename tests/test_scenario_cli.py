@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lsb_lab.scenario
 from lsb_lab.cli import main
 from lsb_lab.scenario import (
     Scenario,
@@ -96,6 +97,9 @@ def test_scenario_parses_minimal_inputs():
     ({"checks": ["unknown_check"]}, "checks[0]"),
     ({"extra_field": 1}, "extra_field"),
     ({"step": 2.0 ** -30}, "step"),  # 1.07e9 samples: refused, not allocated
+    # outputs stay under the output directory: no absolute paths, no '..'
+    ({"outputs": {"trajectory_csv": "/tmp/t.csv"}}, "outputs.trajectory_csv"),
+    ({"outputs": {"report_json": "a/../../r.json"}}, "outputs.report_json"),
 ])
 def test_scenario_error_names_field(patch, field):
     with pytest.raises(ScenarioError) as info:
@@ -131,6 +135,15 @@ def test_scenario_check_compatibility_rules():
     with pytest.raises(ScenarioError):
         Scenario(_riccati(inertia={"diag": [1.0, 3.0, 2.0]},
                           checks=["closed_form"]))
+    with pytest.raises(ScenarioError):
+        Scenario(_riccati(connection=[0.0, 1.0, 1.0],
+                          checks=["closed_form"]))
+    # compare applies the closed_form precondition, naming the field
+    for patch, field in (({"inertia": {"diag": [1.0, 3.0, 2.0]}}, "inertia"),
+                         ({"connection": [1.0, 0.0, 1.0]}, "connection")):
+        with pytest.raises(ScenarioError) as info:
+            compare_table(Scenario(_riccati(**patch)))
+        assert _field_of(info) == field
     # rigid check names are rejected on the line problem and vice versa
     with pytest.raises(ScenarioError):
         Scenario(_riccati(checks=["energy_conservation"]))
@@ -304,6 +317,17 @@ def test_cli_verify_rk4_order_at_roundoff_fails_the_check(tmp_path, capsys):
     assert not entry["passed"] and "roundoff" in entry["details"]
 
 
+def test_cli_compare_outside_the_symmetric_family(tmp_path, capsys):
+    path = _write(tmp_path, _riccati(connection=[0.0, 1.0, 1.0]))
+    assert main(["compare", path]) == 1
+    assert capsys.readouterr().err.startswith("input error: connection:")
+    path = _write(tmp_path, _riccati(inertia={"diag": [1.0, 3.0, 2.0]}))
+    assert main(["compare", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: inertia:")
+    assert captured.out == ""
+
+
 def test_cli_input_error_paths(tmp_path, capsys):
     path = _write(tmp_path, _rigid())
     assert main(["simulate", path, "--step", "2.0"]) == 1
@@ -373,3 +397,74 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "PASS energy_conservation" in proc.stdout
+
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                     "scenarios")
+INTEGRATORS = ("integrate_euler_poincare", "reconstruct_group",
+               "integrate_extremal", "integrate_riccati")
+
+
+def _count_integrations(monkeypatch):
+    calls = dict.fromkeys(INTEGRATORS, 0)
+    for name in INTEGRATORS:
+        original = getattr(lsb_lab.scenario, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(lsb_lab.scenario, name, counted)
+    return calls
+
+
+def test_scenario_construction_integrates_nothing(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    Scenario(_rigid(checks=["equivalence_rigid", "action_equality"]))
+    Scenario(_riccati(checks=["cross_ratio", "closed_form"]))
+    assert calls == dict.fromkeys(INTEGRATORS, 0)
+
+
+@pytest.mark.parametrize("demo,reduced,extremal", [
+    ("rigid_body_so3.json", 1, 1),          # reduced flow, manifold lift
+    ("riccati_sl2r_symmetric.json", 0, 1),  # line extremal
+])
+def test_cli_verify_integrates_each_trajectory_once(tmp_path, monkeypatch,
+                                                    demo, reduced, extremal):
+    calls = _count_integrations(monkeypatch)
+    main(["verify", os.path.join(DEMOS, demo), "--out", str(tmp_path)])
+    assert calls["integrate_euler_poincare"] == reduced
+    assert calls["integrate_extremal"] == extremal
+
+
+def test_energy_and_casimir_share_one_conservation_call(monkeypatch):
+    calls = []
+    original = lsb_lab.scenario.check_conservation
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(lsb_lab.scenario, "check_conservation", counted)
+    report = run_checks(Scenario(_rigid(
+        checks=["casimir_conservation", "energy_conservation"])))
+    assert [c.name for c in report.checks] == ["casimir_conservation",
+                                               "energy_conservation"]
+    assert len(calls) == 1
+
+
+def test_cli_sweep_integrates_each_value_once(tmp_path, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    path = _write(tmp_path, _rigid(
+        step=0.01, checks=["energy_conservation", "casimir_conservation"]))
+    assert main(["sweep", path, "--param", "initial.xi0.0",
+                 "--values=0.5,0.7", "--out", str(tmp_path / "s")]) == 0
+    assert calls["integrate_euler_poincare"] == 2
+
+
+@pytest.mark.parametrize("demo", ["rigid_body_so3", "riccati_sl2r_symmetric"])
+def test_cli_verify_csv_equals_simulate_csv(tmp_path, demo):
+    path = os.path.join(DEMOS, demo + ".json")
+    assert main(["simulate", path, "--out", str(tmp_path / "sim")]) == 0
+    main(["verify", path, "--out", str(tmp_path / "ver")])
+    name = demo + ".csv"
+    assert ((tmp_path / "ver" / name).read_bytes()
+            == (tmp_path / "sim" / name).read_bytes())
