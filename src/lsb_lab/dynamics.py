@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .actions import (
     ConnectionCoefficients,
@@ -33,6 +32,7 @@ from .groups import (
     _BASES,
     _STRUCTURE,
     bracket,
+    exp_matrices,
     inertia_apply,
     inertia_solve,
 )
@@ -253,9 +253,10 @@ def _march(advance, y0: list, times: np.ndarray, message: str,
 
     Every new state is guarded: the first one holding a value that is not
     finite or whose modulus exceeds DIVERGENCE_CAP stops the march with a
-    DivergenceError.  Its message is formatted with the escape time t, the
-    last finite sample time last and what, the entry of names for the first
-    component that left.  The escape time is t_{k+1}, or with extrapolate the
+    DivergenceError that carries the finite states y0, ..., y_k.  Its
+    message is formatted with the escape time t, the last finite sample
+    time last and what, the entry of names for the first component that
+    left.  The escape time is t_{k+1}, or with extrapolate the
     reciprocal extrapolation from step k (near a simple pole 1/|y| decays
     linearly).
     """
@@ -276,7 +277,8 @@ def _march(advance, y0: list, times: np.ndarray, message: str,
             inv_prev, inv_new = 1.0 / prev_mag, 1.0 / new_mag
             t = t + inv_new / ((inv_prev - inv_new) / (t - t_prev))
         raise DivergenceError(message.format(t=t, last=t_prev, what=what),
-                              escape_time=float(t), last_index=k)
+                              escape_time=float(t), last_index=k,
+                              states=ys)
     return ys
 
 
@@ -327,8 +329,11 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
                       convention: str = "body") -> Trajectory:
     """Product-integral reconstruction of the group curve from xi(t).
 
-    Steps by the exponential of the midpoint-interpolated velocity, which
-    preserves the group constraint to machine accuracy over long runs:
+    Steps by the exponential of the midpoint-interpolated velocity, all
+    steps' exponentials evaluated at once by the closed forms of
+    `groups.exp_matrices` (Rodrigues on so3, cosh/sinh on the 2x2 groups),
+    then multiplied in sequence; every factor lies on the group to roundoff,
+    so the constraint holds to machine accuracy over long runs:
     convention="body" solves gdot = g xi, convention="spatial" solves
     gdot = xi g.  Returns the trajectory with the g field filled in.
     """
@@ -342,8 +347,7 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
         raise DomainError("config step does not match the trajectory grid")
     xi = xi_traj.xi
     mid = 0.5 * (xi[:-1] + xi[1:])
-    steps = scipy.linalg.expm(
-        xi_traj.step * np.tensordot(mid, _BASES[group], axes=(1, 0)))
+    steps = exp_matrices(group, xi_traj.step * mid)
     body = convention == "body"
     gs = _march(lambda k, y: [y[0] @ steps[k] if body else steps[k] @ y[0]],
                 [g0.matrix], xi_traj.times,

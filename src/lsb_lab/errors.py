@@ -26,14 +26,18 @@ class PoleError(ArithmeticError):
 class DivergenceError(ArithmeticError):
     """Numerical integration left the finite range.
 
-    Carries the estimated escape time and the last finite sample index so
-    callers can truncate or report instead of propagating non-finite values.
+    Carries the estimated escape time, the last finite sample index and the
+    finite states up to it (samples 0 .. last_index, as the integrator held
+    them) so callers can truncate or report instead of propagating
+    non-finite values.
     """
 
-    def __init__(self, message: str, escape_time: float, last_index: int):
+    def __init__(self, message: str, escape_time: float, last_index: int,
+                 states: list = ()):
         super().__init__(message)
         self.escape_time = escape_time
         self.last_index = last_index
+        self.states = states
 
 
 class ScenarioError(ValueError):

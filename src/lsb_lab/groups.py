@@ -13,11 +13,10 @@ scalars, SU(2) and SO(2,1) over complex scalars throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 
@@ -32,6 +31,7 @@ __all__ = [
     "bracket",
     "killing_form",
     "exp_map",
+    "exp_matrices",
     "group_identity",
     "constraint_residual",
     "coefficients_of",
@@ -268,14 +268,48 @@ def group_identity(group: GroupId) -> GroupElement:
     return GroupElement(group, np.eye(group.dim, dtype=group.scalar_dtype))
 
 
-def exp_map(a: AlgebraElement) -> GroupElement:
-    """Matrix exponential of the representing matrix.
+def _sinc(x: np.ndarray) -> np.ndarray:
+    # unnormalised sin(x)/x, exactly 1 at x = 0
+    safe = np.where(x == 0, 1.0, x)
+    return np.where(x == 0, 1.0, np.sin(safe) / safe)
 
-    Uses scaling-and-squaring with order-13 Pade accuracy on all groups; the
-    result satisfies the group constraint to CONSTRAINT_TOL for moderate
-    coefficient norms.
+
+def exp_matrices(group: GroupId, coeffs) -> np.ndarray:
+    """Exponentials of the algebra elements whose coefficients are the rows
+    of an (n, 3) array, as an (n, d, d) array of group matrices.
+
+    Closed forms (Moler-Van Loan, "Nineteen dubious ways", 2003).  so3:
+    Rodrigues, exp A = I + a A + b A^2 with a = sin t / t and
+    b = (1 - cos t) / t^2 for t = |c|, where b is evaluated as
+    sinc^2(t/2) / 2 so it does not cancel at small t.  The 2x2 groups: A
+    is traceless, so A^2 = s^2 I with s^2 = -det A and
+    exp A = cosh(s) I + sinh(s)/s A; both factors are even in s, so the
+    branch of the complex square root does not matter.  For
+    |s^2| < 1e-8 their Taylor series to first order in s^2 replaces them
+    (the next terms are below 5e-18).  Matrices are real on so3 and sl2r.
     """
-    return GroupElement(a.group, scipy.linalg.expm(a.matrix()))
+    c = np.asarray(coeffs)
+    A = np.tensordot(c, _BASES[group], axes=(1, 0))
+    eye = np.eye(group.dim)
+    if group is GroupId.SO3:
+        theta = np.sqrt(np.einsum("na,na->n", c, c))
+        a = _sinc(theta)[:, None, None]
+        b = 0.5 * _sinc(0.5 * theta)[:, None, None] ** 2
+        return eye + a * A + b * (A @ A)
+    s2 = A[:, 0, 0] * A[:, 0, 0] + A[:, 0, 1] * A[:, 1, 0]
+    small = np.abs(s2) < 1e-8
+    s = np.sqrt(np.where(small, 1.0, s2).astype(np.complex128))
+    ch = np.where(small, 1.0 + s2 / 2.0, np.cosh(s))
+    sh = np.where(small, 1.0 + s2 / 6.0, np.sinh(s) / s)
+    if not group.is_complex:
+        ch, sh = ch.real, sh.real
+    return ch[:, None, None] * eye + sh[:, None, None] * A
+
+
+def exp_map(a: AlgebraElement) -> GroupElement:
+    """Exponential of the representing matrix, by the closed forms of
+    `exp_matrices`; the result satisfies the group constraint to roundoff."""
+    return GroupElement(a.group, exp_matrices(a.group, a.coeffs[None])[0])
 
 
 def _project_to_span(group: GroupId, m: np.ndarray) -> np.ndarray:

@@ -590,27 +590,24 @@ def compare_table(scn, max_rows=21):
     escape = None
     try:
         num = scn.line_extremal
+        times, xs, ps = num.times, num.x, num.p
     except DivergenceError as e:
         escape = e.escape_time
         if e.last_index < 2:
             return (_COMPARE_HEADER, [], escape)
-        cfg = IntegratorConfig(scn.integrator, scn.step,
-                               e.last_index * scn.step)
-        num = integrate_extremal(
-            moebius_line(scn.group), scn.connection,
-            scn.inertia_coefficients, scn.initial["x0"], scn.initial["p0"],
-            cfg)
-    xf, pf = closed_form_symmetric(scn.group, params, num.times)
-    n = num.times.size
+        # the surviving prefix, as the diverged run computed it
+        xs, ps = np.array(e.states, dtype=scn.group.scalar_dtype).T
+        times = np.arange(xs.size) * scn.step
+    xf, pf = closed_form_symmetric(scn.group, params, times)
+    n = times.size
     stride = max(1, (n - 1) // (max_rows - 1)) if n > 1 else 1
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
     rows = []
     for k in idx:
-        rows.append((num.times[k], num.x[k], xf[k],
-                     abs(num.x[k] - xf[k]), num.p[k], pf[k],
-                     abs(num.p[k] - pf[k])))
+        rows.append((times[k], xs[k], xf[k], abs(xs[k] - xf[k]), ps[k],
+                     pf[k], abs(ps[k] - pf[k])))
     return (_COMPARE_HEADER, rows, escape)
 
 

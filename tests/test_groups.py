@@ -1,8 +1,13 @@
 """Basis conventions, brackets, trace pairings, exponentials, inertia."""
 
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from lsb_lab import (
     AlgebraElement,
@@ -23,6 +28,7 @@ from lsb_lab import (
     slot_index,
     structure_constants,
 )
+from lsb_lab.groups import exp_matrices
 
 ALL_GROUPS = list(GroupId)
 LINE_GROUPS = [GroupId.SL2R, GroupId.SU2, GroupId.SO21]
@@ -152,6 +158,65 @@ def test_exp_map_lands_on_group():
             c = rng.uniform(-1.5, 1.5, 3).astype(gid.scalar_dtype)
             g = exp_map(AlgebraElement(gid, c))
             assert constraint_residual(g) < 1e-12
+
+
+def _mp_expm(m):
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(m.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(e.cols)]
+                         for i in range(e.rows)])
+
+
+# Coefficients hitting each branch of the closed forms.  On sl2r, slot
+# order (plus, minus, zero): s^2 = c0^2 + c+ c-, so e_plus alone is
+# nilpotent (s^2 = 0), e_zero is hyperbolic (s^2 > 0) and e_plus - e_minus
+# is a rotation (s^2 < 0); |s^2| = 0.81e-8 and 1.21e-8 sit on the two
+# sides of the Taylor switch at 1e-8.
+BRANCH_COEFFS = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-2.5, 0.0, 0.0),
+                 (0.0, 0.0, 1.3), (1.2, -1.2, 0.0), (0.0, 0.0, 0.9e-4),
+                 (0.0, 0.0, 1.1e-4), (0.9e-4, -0.9e-4, 0.0),
+                 (1.1e-4, -1.1e-4, 0.0), (3.0, 2.0, 1.0)]
+
+
+@pytest.mark.parametrize("gid", ALL_GROUPS, ids=lambda g: g.value)
+def test_exp_matrices_against_references(gid):
+    """Closed forms against 40-digit mpmath (1e-14) and scipy's Pade
+    expm (1e-12, the less accurate side), across scales and branches;
+    batch rows equal single exp_map calls."""
+    rng = np.random.default_rng(11)
+    rows = [np.array(c) for c in BRANCH_COEFFS]
+    for scale in (1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.5, 3.0):
+        rows += list(scale * rng.uniform(-1.0, 1.0, (4, 3)))
+        if gid.is_complex:
+            rows += list(scale * (rng.uniform(-1.0, 1.0, (4, 3))
+                                  + 1j * rng.uniform(-1.0, 1.0, (4, 3))))
+    coeffs = np.array(rows, dtype=gid.scalar_dtype)
+    batch = exp_matrices(gid, coeffs)
+    assert batch.shape == (len(coeffs), gid.dim, gid.dim)
+    assert batch.dtype == gid.scalar_dtype
+    for c, g in zip(coeffs, batch):
+        m = AlgebraElement(gid, c).matrix()
+        ref = _mp_expm(m)
+        scale = np.abs(ref).max()
+        assert np.abs(g - ref).max() <= 1e-14 * scale, c
+        assert np.abs(g - scipy.linalg.expm(m)).max() <= 1e-12 * scale, c
+        npt.assert_array_equal(exp_map(AlgebraElement(gid, c)).matrix, g)
+
+
+def test_exp_matrices_nilpotent_is_exact():
+    c = np.array([[1.0, 0.0, 0.0], [-2.5, 0.0, 0.0]])
+    g = exp_matrices(GroupId.SL2R, c)
+    npt.assert_array_equal(g, [[[1.0, 1.0], [0.0, 1.0]],
+                               [[1.0, -2.5], [0.0, 1.0]]])
+
+
+def test_runtime_import_loads_no_scipy():
+    code = ("import sys, lsb_lab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exp_map_one_parameter_property():

@@ -436,6 +436,16 @@ def test_cli_verify_integrates_each_trajectory_once(tmp_path, monkeypatch,
     assert calls["integrate_extremal"] == extremal
 
 
+def test_cli_compare_keeps_the_diverged_prefix(monkeypatch, capsys):
+    # the table's surviving prefix comes from the run that diverged
+    calls = _count_integrations(monkeypatch)
+    code = main(["compare", os.path.join(DEMOS,
+                                         "riccati_sl2r_escaping.json")])
+    assert code == 3
+    assert "table truncated to the surviving prefix" in capsys.readouterr().out
+    assert calls["integrate_extremal"] == 1
+
+
 def test_energy_and_casimir_share_one_conservation_call(monkeypatch):
     calls = []
     original = lsb_lab.scenario.check_conservation
