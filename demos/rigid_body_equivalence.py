@@ -19,7 +19,6 @@ from lsb_lab import (
     ConnectionCoefficients,
     GroupId,
     IntegratorConfig,
-    Trajectory,
     check_action_equality,
     check_conservation,
     check_equivalence_rigid,
@@ -64,10 +63,8 @@ def main(argv=None):
         print(f"  {label:<34s}{text}")
 
     ep = integrate_euler_poincare(GroupId.SO3, J, om0, cfg)
-    neg = Trajectory(group=GroupId.SO3, times=ep.times, xi=-ep.xi)
-    g_flow = reconstruct_group(GroupId.SO3, neg, group_identity(GroupId.SO3),
-                               convention="spatial")
-    ctrl, cons = check_equivalence_rigid(J, g_flow, ep,
+    curve = reconstruct_group(GroupId.SO3, ep, group_identity(GroupId.SO3))
+    ctrl, cons = check_equivalence_rigid(J, curve,
                                          group_identity(GroupId.SO3))
     line("control equation residual", f"{ctrl.max_residual:.3e}")
     line("momentum constraint residual", f"{cons.max_residual:.3e}")

@@ -140,9 +140,6 @@ class Trajectory:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def xi_element(self, k: int) -> AlgebraElement:
-        return AlgebraElement(self.group, self.xi[k])
-
 
 @dataclass(frozen=True)
 class SymmetricSolutionParams:
@@ -325,31 +322,28 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
 
 
 def reconstruct_group(group: GroupId, xi_traj: Trajectory,
-                      g0: GroupElement, cfg: IntegratorConfig | None = None,
-                      convention: str = "body") -> Trajectory:
-    """Product-integral reconstruction of the group curve from xi(t).
+                      g0: GroupElement,
+                      cfg: IntegratorConfig | None = None) -> Trajectory:
+    """Product-integral reconstruction of the group curve gdot = g xi from
+    g(0) = g0.
 
     Steps by the exponential of the midpoint-interpolated velocity, all
     steps' exponentials evaluated at once by the closed forms of
     `groups.exp_matrices` (Rodrigues on so3, cosh/sinh on the 2x2 groups),
     then multiplied in sequence; every factor lies on the group to roundoff,
-    so the constraint holds to machine accuracy over long runs:
-    convention="body" solves gdot = g xi, convention="spatial" solves
-    gdot = xi g.  Returns the trajectory with the g field filled in.
+    so the constraint holds to machine accuracy over long runs.  Returns
+    the trajectory with the g field filled in.
     """
     if xi_traj.xi is None:
         raise DomainError("reconstruction needs body-velocity samples")
     if g0.group is not group or xi_traj.group is not group:
         raise DomainError("group mismatch in reconstruction")
-    if convention not in ("body", "spatial"):
-        raise DomainError(f"unknown convention {convention!r}")
     if cfg is not None and abs(cfg.step - xi_traj.step) > 1e-12 * xi_traj.step:
         raise DomainError("config step does not match the trajectory grid")
     xi = xi_traj.xi
     mid = 0.5 * (xi[:-1] + xi[1:])
     steps = exp_matrices(group, xi_traj.step * mid)
-    body = convention == "body"
-    gs = _march(lambda k, y: [y[0] @ steps[k] if body else steps[k] @ y[0]],
+    gs = _march(lambda k, y: [y[0] @ steps[k]],
                 [g0.matrix], xi_traj.times,
                 "group element left the finite range near t = {t:.6g}")
     return replace(xi_traj,
@@ -535,10 +529,11 @@ def closed_form_symmetric(group: GroupId, params: SymmetricSolutionParams, t):
     C0, Cp, Cm = params.C0, params.C_plus, params.C_minus
 
     def guard(den, scale):
-        bad = np.atleast_1d(np.abs(den) <= 1e-12 * max(scale, 1e-300))
-        if np.any(bad):
-            tt = np.broadcast_to(np.atleast_1d(t), bad.shape)
-            loc = float(tt[int(np.argmax(bad))])
+        # den is a scalar where it does not depend on t
+        tol = 1e-12 * max(scale, 1e-300)
+        bad, tt = np.broadcast_arrays(np.abs(den) <= tol, t)
+        if bad.any():
+            loc = float(tt.flat[bad.argmax()])
             raise PoleError(f"denominator vanishes at t = {loc:.6g}",
                             location=loc)
 
@@ -587,21 +582,18 @@ def quadrature(times: np.ndarray, values: np.ndarray):
     return head + tail
 
 
-def objective_value(J, xi_traj: Trajectory, cfg: IntegratorConfig | None = None,
-                    pairing: str = "coordinate"):
-    """Integral of the running cost (1/2)<xi, J xi> along the trajectory."""
-    from .actions import quadratic_cost
+def objective_value(J, xi_traj: Trajectory,
+                    cfg: IntegratorConfig | None = None):
+    """Integral of the running cost (1/2) xi^T J xi along the trajectory.
+
+    J is an inertia operator or its three diagonal coefficients.
+    """
     if xi_traj.xi is None:
         raise DomainError("objective needs control samples")
     if cfg is not None and abs(cfg.step - xi_traj.step) > 1e-12 * xi_traj.step:
         raise DomainError("config step does not match the trajectory grid")
-    group = xi_traj.group
-    if isinstance(J, InertiaOperator):
-        op = J
-    else:
-        vals = _diag_coeffs(J)
-        op = InertiaOperator(group, np.diag(vals))
-    costs = np.array([
-        quadratic_cost(op, AlgebraElement(group, c), pairing=pairing)
-        for c in xi_traj.xi])
-    return quadrature(xi_traj.times, costs)
+    J3 = (J.matrix3 if isinstance(J, InertiaOperator)
+          else np.diag(_diag_coeffs(J)))
+    xi = xi_traj.xi
+    return quadrature(xi_traj.times,
+                      0.5 * np.einsum("ka,ab,kb->k", xi, J3, xi))

@@ -25,7 +25,6 @@ __all__ = [
     "AlgebraElement",
     "GroupElement",
     "InertiaOperator",
-    "algebra_element",
     "basis",
     "structure_constants",
     "bracket",
@@ -176,10 +175,6 @@ class AlgebraElement:
     def matrix(self) -> np.ndarray:
         """Representing matrix sum_a coeffs[a] * e_a."""
         return np.tensordot(self.coeffs, _BASES[self.group], axes=(0, 0))
-
-
-def algebra_element(group: GroupId, coeffs) -> AlgebraElement:
-    return AlgebraElement(group, np.asarray(coeffs))
 
 
 def _require_same_group(a: AlgebraElement, b: AlgebraElement) -> GroupId:

@@ -26,7 +26,6 @@ from .dynamics import (
     METHODS,
     IntegratorConfig,
     SymmetricSolutionParams,
-    Trajectory,
     closed_form_symmetric,
     feedback_solve,
     integrate_euler_poincare,
@@ -142,6 +141,12 @@ class Scenario:
         return integrate_euler_poincare(
             self.group, self.inertia,
             AlgebraElement(self.group, self.initial["xi0"]), self.config)
+
+    @functools.cached_property
+    def group_curve(self):
+        """reduced_flow with its group curve g' = g xi from initial.g0."""
+        return reconstruct_group(self.group, self.reduced_flow,
+                                 self.initial["g0"])
 
     @functools.cached_property
     def line_extremal(self):
@@ -405,13 +410,11 @@ _XI_NAMES = ("xi_plus", "xi_minus", "xi_zero")
 def simulate_columns(scn):
     """Run the scenario's simulation and return ordered CSV columns."""
     if scn.problem == "rigid_body":
-        ep = scn.reduced_flow
-        g = reconstruct_group(scn.group, ep, scn.initial["g0"],
-                              convention="body")
-        cols = [("t", ep.times)]
+        curve = scn.group_curve
+        cols = [("t", curve.times)]
         for a, nm in enumerate(_XI_NAMES):
-            cols.extend(_split_columns(nm, ep.xi[:, a]))
-        cols.extend(_matrix_columns("g", g.g))
+            cols.extend(_split_columns(nm, curve.xi[:, a]))
+        cols.extend(_matrix_columns("g", curve.g))
         return cols
     ext = scn.line_extremal
     cols = [("t", ext.times)]
@@ -461,6 +464,12 @@ def _sl2r_only(scn):
     return None if scn.group is GroupId.SL2R else ("group", "group sl2r")
 
 
+def _three_samples(scn):
+    # central differences and Simpson quadrature need three samples
+    return (None if scn.config.n_steps >= 2
+            else ("step", "at least two steps (step <= horizon / 2)"))
+
+
 def _symmetric_family(scn):
     # the closed-form family's own domain (SymmetricSolutionParams)
     coeffs = scn.inertia_coefficients
@@ -477,11 +486,7 @@ def _symmetric_family(scn):
 # benchmark's tracer) sees every call.
 
 def _equivalence_rigid(scn):
-    ep = scn.reduced_flow
-    neg = Trajectory(group=scn.group, times=ep.times, xi=-ep.xi)
-    g_flow = reconstruct_group(scn.group, neg, group_identity(scn.group),
-                               convention="spatial")
-    return check_equivalence_rigid(scn.inertia, g_flow, ep,
+    return check_equivalence_rigid(scn.inertia, scn.group_curve,
                                    scn.initial["x0"])
 
 
@@ -527,8 +532,15 @@ def _line_action_equality(scn):
 
 
 def _closed_form(scn):
-    return (check_closed_form(scn.group, symmetric_params_from_feedback(scn),
-                              scn.config),)
+    params = symmetric_params_from_feedback(scn)
+    try:
+        ext = scn.line_extremal
+    except DivergenceError as e:
+        return (CheckResult.from_residual(
+            "closed_form", np.inf, 1e-7,
+            details=(f"numeric closed loop diverged near t = "
+                     f"{e.escape_time:.6g}; no finite gap to report")),)
+    return (check_closed_form(params, ext),)
 
 
 def _closed_loop_audit(scn):
@@ -540,15 +552,15 @@ def _closed_loop_audit(scn):
 # input errors list the valid check names in this order
 PROBLEMS = {
     "rigid_body": (("so3", "su2"), {
-        "equivalence_rigid": (None, _equivalence_rigid),
+        "equivalence_rigid": (_three_samples, _equivalence_rigid),
         "energy_conservation": (None, _conservation),
         "casimir_conservation": (None, _conservation),
         "rk4_order": (_rk4_only, _rk4_order),
-        "action_equality": (None, _manifold_action_equality),
+        "action_equality": (_three_samples, _manifold_action_equality),
     }),
     "riccati": (("sl2r", "su2", "so21"), {
         "cross_ratio": (None, _cross_ratio),
-        "action_equality": (None, _line_action_equality),
+        "action_equality": (_three_samples, _line_action_equality),
         "closed_form": (_symmetric_family, _closed_form),
         "closed_loop_audit": (_sl2r_only, _closed_loop_audit),
     }),

@@ -12,10 +12,7 @@ import numpy as np
 
 from .actions import (
     ConnectionCoefficients,
-    clebsch_lagrangian,
-    group_manifold,
-    moebius_line,
-    quadratic_cost,
+    line_generator_polynomials,
     riccati_coefficients,
 )
 from .dynamics import (
@@ -25,10 +22,9 @@ from .dynamics import (
     closed_loop_rhs,
     feedback_solve,
     integrate_euler_poincare,
-    integrate_extremal,
     quadrature,
 )
-from .errors import DegenerateInputError, DivergenceError, DomainError
+from .errors import DegenerateInputError, DomainError
 from .groups import (
     AlgebraElement,
     GroupId,
@@ -137,41 +133,37 @@ def min_norm_costate(group: GroupId, J3, xi0, x0m):
     return np.linalg.solve(np.asarray(x0m).conj().T, M0 / 2.0)
 
 
-def check_equivalence_rigid(J_in, g_traj, xi_traj, x0):
+def check_equivalence_rigid(J_in, traj, x0):
     """Certify the two-sided correspondence on a rigid-body run.
 
-    Inputs: inertia J_in, a group trajectory whose samples satisfy
-    g' = -xi g, the control samples xi, and a start point x0 on the group.
-    Builds x(t) = x0 g(t)^(-1) and p(t) = p0 g(t)^(-1), where p0 is the
-    minimum-norm solution of the momentum matching condition at t = 0,
-    then measures (i) the control-equation residual x' - x xi by central
-    differences and (ii) the momentum matching residual along the flow.
-    Returns two CheckResult entries.
+    Inputs: inertia J_in, a trajectory carrying the control samples xi and
+    the group curve g with g' = g xi (body convention, any g(0)), and a
+    start point x0 on the group.  Builds x(t) = x0 g(0)^(-1) g(t) and
+    p(t) = p0 g(0)^(-1) g(t), where p0 is the minimum-norm solution of the
+    momentum matching condition at t = 0, then measures (i) the
+    control-equation residual x' - x xi by central differences and (ii) the
+    momentum matching residual along the flow.  Returns two CheckResult
+    entries.
     """
-    group = g_traj.group
-    if g_traj.g is None:
-        raise DomainError("group samples required")
-    xi = xi_traj.xi if isinstance(xi_traj, Trajectory) else np.asarray(xi_traj)
-    times = g_traj.times
+    group = traj.group
+    if traj.g is None or traj.xi is None:
+        raise DomainError("control and group samples required")
+    g, xi, times = traj.g, traj.xi, traj.times
     n = times.size
-    if xi.shape != (n, 3):
-        raise DomainError("control samples do not match the group trajectory")
     J3 = _inertia_matrix3(group, J_in)
-    h = g_traj.step
+    h = traj.step
     base = _BASES[group]
 
-    dets = np.linalg.det(g_traj.g)
-    if np.abs(dets).min() < 1e-12:
-        k = int(np.abs(dets).argmin())
-        raise DomainError(f"singular group sample at index {k}")
-    ginv = np.linalg.inv(g_traj.g)
+    if abs(np.linalg.det(g[0])) < 1e-12:
+        raise DomainError("singular group sample at index 0")
+    transport = np.linalg.solve(g[0], g)  # g(0)^(-1) g(t)
 
     x0m = np.asarray(x0.matrix if hasattr(x0, "matrix") else x0,
                      dtype=group.scalar_dtype)
-    xs = np.einsum("ij,kjl->kil", x0m, ginv)
+    xs = np.einsum("ij,kjl->kil", x0m, transport)
 
     p0 = min_norm_costate(group, J3, xi[0], x0m)
-    ps = np.einsum("ij,kjl->kil", p0, ginv)
+    ps = np.einsum("ij,kjl->kil", p0, transport)
 
     ximats = np.tensordot(xi, base, axes=(1, 0)).astype(group.scalar_dtype)
     xdot = central_difference(times, xs)
@@ -221,15 +213,7 @@ def check_cross_ratio(trajs):
         details=f"cross-ratio {cr0!r}, relative drift {drift:.6e}")
 
 
-def _space_of(traj: Trajectory):
-    if traj.x is None:
-        raise DomainError("trajectory has no state samples")
-    return moebius_line(traj.group) if np.asarray(traj.x).ndim == 1 \
-        else group_manifold(traj.group)
-
-
-def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory,
-                          pairing="coordinate"):
+def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory):
     """Equality of the plain and lifted action integrals on an extremal.
 
     Precondition checked first: the stored curve satisfies its control
@@ -239,16 +223,16 @@ def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory,
     stencil's own truncation error.  On curves that pass, the lifted
     integrand's penalty term vanishes and the two integrals agree up to
     quadrature roundoff.
+
+    The plain integrand is the running cost (1/2) xi^T J xi; the lifted one
+    adds the costate-weighted control residual: p (xdot - (c0 + c1 x +
+    c2 x^2)) on the line, Re tr(p^H (xdot - x xi)) on the group manifold.
     """
     if traj.x is None or traj.p is None or traj.xdot is None:
         raise DomainError("extremal with stored state, costate and velocity "
                           "samples required")
     group = traj.group
-    space = _space_of(traj)
-    if isinstance(J_in, InertiaOperator):
-        J = J_in
-    else:
-        J = InertiaOperator(group, np.asarray(J_in, dtype=np.float64))
+    J3 = _inertia_matrix3(group, J_in)
     times = traj.times
     h = traj.step
     xdot_cd = central_difference(times, traj.x)
@@ -267,17 +251,19 @@ def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory,
                      "identity is only asserted on curves satisfying the "
                      "control equation"))
 
-    n = times.size
-    L_vals = np.empty(n, dtype=np.complex128)
-    lifted_vals = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        xi_k = AlgebraElement(group, traj.xi[k])
-        L_vals[k] = quadratic_cost(J, xi_k, pairing=pairing)
-        lifted_vals[k] = clebsch_lagrangian(
-            space, B, J, traj.x[k], traj.p[k], traj.xdot[k], xi_k,
-            pairing=pairing)
-    S_plain = quadrature(times, L_vals)
-    S_lifted = quadrature(times, lifted_vals)
+    xi, x, p = traj.xi, traj.x, traj.p
+    # complex, so that S_plain and S_lifted print alike on every group
+    L = 0.5 * np.einsum("ka,ab,kb->k", xi, J3, xi).astype(np.complex128)
+    if x.ndim == 1:
+        c = xi @ line_generator_polynomials(group, B)
+        field = c[:, 2] * x * x + c[:, 1] * x + c[:, 0]
+        penalty = p * (traj.xdot - field)
+    else:
+        ximats = np.tensordot(xi, _BASES[group], axes=(1, 0))
+        residual = traj.xdot - np.einsum("kij,kjl->kil", x, ximats)
+        penalty = np.einsum("kij,kij->k", p.conj(), residual).real
+    S_plain = quadrature(times, L)
+    S_lifted = quadrature(times, L + penalty)
     gap = abs(S_lifted - S_plain) / (1.0 + abs(S_plain))
     return CheckResult.from_residual(
         "action_equality", gap, 1e-8,
@@ -285,31 +271,20 @@ def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory,
                  f"precheck residual {r_pre:.6e} (tol {tol_pre:.6e})"))
 
 
-def check_closed_form(group: GroupId, params, cfg: IntegratorConfig):
-    """Gap between the integrated closed loop and the printed formulas.
+def check_closed_form(params, traj: Trajectory):
+    """Gap between a line extremal of the closed loop and the printed
+    formulas, evaluated on the extremal's grid.
 
-    A divergence raised by the integrator is converted into a failing
-    entry carrying the escape-time estimate.
+    traj must be integrated with the connection and inertia of params.
     """
-    space = moebius_line(group)
-    B = params.connection()
-    I_coeffs = (params.I, params.I, params.I0)
-    x0, p0 = closed_form_symmetric(group, params, 0.0)
-    try:
-        num = integrate_extremal(space, B, I_coeffs, x0, p0, cfg)
-    except DivergenceError as e:
-        return CheckResult.from_residual(
-            "closed_form", np.inf, 1e-7,
-            details=(f"numeric closed loop diverged near t = "
-                     f"{e.escape_time:.6g}; no finite gap to report"))
-    xf, pf = closed_form_symmetric(group, params, num.times)
-    gap_x = float(np.abs(num.x - xf).max())
-    gap_p = float(np.abs(num.p - pf).max())
+    xf, pf = closed_form_symmetric(traj.group, params, traj.times)
+    gap_x = float(np.abs(traj.x - xf).max())
+    gap_p = float(np.abs(traj.p - pf).max())
     gap = max(gap_x, gap_p)
     return CheckResult.from_residual(
         "closed_form", gap, 1e-7,
         details=(f"sup gap x {gap_x:.6e}, p {gap_p:.6e}; "
-                 f"max |x_num| {float(np.abs(num.x).max()):.6g}"))
+                 f"max |x_num| {float(np.abs(traj.x).max()):.6g}"))
 
 
 def check_conservation(J_in, traj: Trajectory):

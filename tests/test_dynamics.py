@@ -164,13 +164,8 @@ def test_reconstruction_constant_control_exact():
     flat = Trajectory(group=GroupId.SO3, times=cfg.times(),
                       xi=np.tile(xi.coeffs, (n, 1)))
     g_body = reconstruct_group(GroupId.SO3, flat, group_identity(GroupId.SO3))
-    g_spatial = reconstruct_group(GroupId.SO3, flat,
-                                  group_identity(GroupId.SO3),
-                                  convention="spatial")
     exact = exp_map(AlgebraElement(GroupId.SO3, 1.0 * xi.coeffs)).matrix
     npt.assert_allclose(g_body.g[-1], exact, atol=1e-13)
-    # both conventions agree from the identity with frozen control
-    npt.assert_allclose(g_spatial.g[-1], exact, atol=1e-13)
 
 
 def test_reconstruction_preserves_constraint_long_run():
@@ -188,9 +183,6 @@ def test_reconstruction_preserves_constraint_long_run():
 def test_reconstruction_input_checks():
     times = np.array([0.0, 0.1, 0.2])
     bare = Trajectory(group=GroupId.SO3, times=times, xi=np.zeros((3, 3)))
-    with pytest.raises(DomainError):
-        reconstruct_group(GroupId.SO3, bare, group_identity(GroupId.SO3),
-                          convention="sideways")
     with pytest.raises(DomainError):
         reconstruct_group(GroupId.SO3, bare, group_identity(GroupId.SO3),
                           cfg=IntegratorConfig("rk4", 0.05, 0.2))

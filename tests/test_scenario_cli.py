@@ -11,11 +11,13 @@ import numpy.testing as npt
 import pytest
 
 import lsb_lab.scenario
+import lsb_lab.verify
 from lsb_lab.cli import main
 from lsb_lab.scenario import (
     Scenario,
     apply_overrides,
     compare_table,
+    load_raw,
     read_csv,
     run_checks,
     scenario_digest,
@@ -138,6 +140,16 @@ def test_scenario_check_compatibility_rules():
     with pytest.raises(ScenarioError):
         Scenario(_riccati(connection=[0.0, 1.0, 1.0],
                           checks=["closed_form"]))
+    # differentiating and integrating along the grid need three samples
+    for raw in (_rigid(step=1.0, checks=["energy_conservation",
+                                         "equivalence_rigid"]),
+                _rigid(step=1.0, checks=["action_equality"]),
+                _riccati(step=1.0, checks=["action_equality"])):
+        with pytest.raises(ScenarioError) as info:
+            Scenario(raw)
+        assert _field_of(info) == f"checks[{len(raw['checks']) - 1}]"
+    Scenario(_rigid(step=0.5, checks=["equivalence_rigid",
+                                      "action_equality"]))
     # compare applies the closed_form precondition, naming the field
     for patch, field in (({"inertia": {"diag": [1.0, 3.0, 2.0]}}, "inertia"),
                          ({"connection": [1.0, 0.0, 1.0]}, "connection")):
@@ -406,14 +418,18 @@ INTEGRATORS = ("integrate_euler_poincare", "reconstruct_group",
 
 
 def _count_integrations(monkeypatch):
+    # every binding a scenario run reaches: the runners' and the checks'
     calls = dict.fromkeys(INTEGRATORS, 0)
-    for name in INTEGRATORS:
-        original = getattr(lsb_lab.scenario, name)
+    for module in (lsb_lab.scenario, lsb_lab.verify):
+        for name in INTEGRATORS:
+            if not hasattr(module, name):
+                continue
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(lsb_lab.scenario, name, counted)
+            def counted(*args, _name=name, _original=getattr(module, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -431,8 +447,13 @@ def test_scenario_construction_integrates_nothing(monkeypatch):
 def test_cli_verify_integrates_each_trajectory_once(tmp_path, monkeypatch,
                                                     demo, reduced, extremal):
     calls = _count_integrations(monkeypatch)
-    main(["verify", os.path.join(DEMOS, demo), "--out", str(tmp_path)])
-    assert calls["integrate_euler_poincare"] == reduced
+    path = os.path.join(DEMOS, demo)
+    main(["verify", path, "--out", str(tmp_path)])
+    # rk4_order integrates the reduced flow on three grids of its own
+    own = 3 * ("rk4_order" in load_raw(path)["checks"])
+    assert calls["integrate_euler_poincare"] == reduced + own
+    # one group curve serves equivalence_rigid and the CSV
+    assert calls["reconstruct_group"] == reduced
     assert calls["integrate_extremal"] == extremal
 
 
@@ -444,6 +465,16 @@ def test_cli_compare_keeps_the_diverged_prefix(monkeypatch, capsys):
     assert code == 3
     assert "table truncated to the surviving prefix" in capsys.readouterr().out
     assert calls["integrate_extremal"] == 1
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_cli_formula_pole_at_zero_costate(tmp_path, capsys, command):
+    # p0 = 0 zeroes the closed-form constant C+, so the sl2r formulas have
+    # their pole at t = 0; the formulas are evaluated on the whole grid
+    code = main([command, os.path.join(DEMOS, "riccati_sl2r_symmetric.json"),
+                 "--set", "initial.p0=0", "--out", str(tmp_path)])
+    assert code == 3
+    assert "formula pole at t = 0" in capsys.readouterr().err
 
 
 def test_energy_and_casimir_share_one_conservation_call(monkeypatch):

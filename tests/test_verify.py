@@ -1,5 +1,6 @@
 """Numerical check battery: residual gates, oracles, and error contracts."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +12,11 @@ from lsb_lab import (
     CheckResult,
     ConnectionCoefficients,
     DegenerateInputError,
+    DivergenceError,
     DomainError,
     GroupId,
     IntegratorConfig,
     SymmetricSolutionParams,
-    Trajectory,
     VerificationReport,
     central_difference,
     check_action_equality,
@@ -25,28 +26,37 @@ from lsb_lab import (
     check_cross_ratio,
     check_equivalence_rigid,
     check_rk4_order,
+    clebsch_lagrangian,
+    closed_form_symmetric,
     group_identity,
     group_manifold,
     inertia_diagonal,
     integrate_euler_poincare,
     integrate_extremal,
     integrate_riccati,
+    moebius_line,
+    quadratic_cost,
+    quadrature,
     reconstruct_group,
 )
+from lsb_lab.scenario import Scenario, load_raw, run_checks
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
 J123 = inertia_diagonal(GroupId.SO3, 1.0, 2.0, 3.0)
 OMEGA0 = AlgebraElement(GroupId.SO3, [0.8, 0.3, 0.1])
 
 
-def _rigid_pipeline(cfg):
-    """Reduced flow, the auxiliary inverse-transport curve, and the lift."""
+def _rigid_curve(cfg):
+    """Reduced flow with its group curve g' = g xi from the identity."""
     ep = integrate_euler_poincare(GroupId.SO3, J123, OMEGA0, cfg)
-    neg = Trajectory(group=GroupId.SO3, times=ep.times, xi=-ep.xi)
-    g_flow = reconstruct_group(GroupId.SO3, neg,
-                               group_identity(GroupId.SO3),
-                               convention="spatial")
-    return ep, g_flow
+    return reconstruct_group(GroupId.SO3, ep, group_identity(GroupId.SO3))
+
+
+def _symmetric_loop(group, pars, cfg):
+    """The closed loop integrated from the formulas' values at t = 0."""
+    x0, p0 = closed_form_symmetric(group, pars, 0.0)
+    return integrate_extremal(moebius_line(group), pars.connection(),
+                              (pars.I, pars.I, pars.I0), x0, p0, cfg)
 
 
 def test_check_result_consistency_enforced():
@@ -100,8 +110,8 @@ def test_central_difference_second_order():
 
 
 def test_rigid_equivalence_residuals():
-    ep, g_flow = _rigid_pipeline(IntegratorConfig("rk4", 1e-3, 1.0))
-    entries = check_equivalence_rigid(J123, g_flow, ep,
+    curve = _rigid_curve(IntegratorConfig("rk4", 1e-3, 1.0))
+    entries = check_equivalence_rigid(J123, curve,
                                       group_identity(GroupId.SO3))
     by_name = {e.name: e for e in entries}
     ctrl = by_name["equivalence_rigid.control"]
@@ -112,13 +122,18 @@ def test_rigid_equivalence_residuals():
 
 
 def test_rigid_equivalence_rejects_singular_samples():
-    ep, g_flow = _rigid_pipeline(IntegratorConfig("rk4", 0.1, 0.5))
-    g_bad = g_flow.g.copy()
-    g_bad[3] = 0.0
-    broken = replace(g_flow, g=g_bad)
+    curve = _rigid_curve(IntegratorConfig("rk4", 0.1, 0.5))
+    x0 = group_identity(GroupId.SO3)
+    # g(0) is the one matrix the check inverts
+    g_bad = curve.g.copy()
+    g_bad[0] = 0.0
     with pytest.raises(DomainError, match="singular group sample"):
-        check_equivalence_rigid(J123, broken, ep,
-                                group_identity(GroupId.SO3))
+        check_equivalence_rigid(J123, replace(curve, g=g_bad), x0)
+    # a zeroed later sample breaks the control equation there
+    g_bad = curve.g.copy()
+    g_bad[3] = 0.0
+    ctrl, cons = check_equivalence_rigid(J123, replace(curve, g=g_bad), x0)
+    assert not ctrl.passed and not cons.passed
 
 
 def test_conservation_drift_at_roundoff():
@@ -174,7 +189,7 @@ def test_cross_ratio_input_checks():
 
 def test_action_equality_on_rigid_lift():
     cfg = IntegratorConfig("rk4", 1e-3, 1.0)
-    ep, _ = _rigid_pipeline(cfg)
+    ep = _rigid_curve(cfg)
     x0 = group_identity(GroupId.SO3)
     p0 = 0.5 * AlgebraElement(GroupId.SO3, J123.matrix3 @ OMEGA0.coeffs).matrix()
     ext = integrate_extremal(group_manifold(GroupId.SO3), B_ONE, J123,
@@ -187,7 +202,7 @@ def test_action_equality_on_rigid_lift():
 
 def test_action_equality_flags_uncontrolled_curves():
     cfg = IntegratorConfig("rk4", 1e-2, 0.5)
-    ep, _ = _rigid_pipeline(cfg)
+    ep = _rigid_curve(cfg)
     ext = integrate_extremal(group_manifold(GroupId.SO3), B_ONE, J123,
                              group_identity(GroupId.SO3), np.zeros((3, 3)),
                              cfg, xi_traj=ep)
@@ -198,29 +213,72 @@ def test_action_equality_flags_uncontrolled_curves():
     assert "control" in res.details
 
 
+def _action_case(kind, group):
+    """An extremal whose stored velocity is scaled by 1 + 1e-6: the precheck
+    still passes and the lifted integrand's penalty is nonzero."""
+    cfg = IntegratorConfig("rk4", 1e-2, 0.5)
+    B = ConnectionCoefficients(np.array([1.1, 0.7, 1.3]))
+    J = inertia_diagonal(group, 1.0, 2.0, 1.5)
+    if kind == "line":
+        x0, p0 = (0.3, -0.6) if group is GroupId.SL2R else (0.2 + 0.1j, 0.5)
+        ext = integrate_extremal(moebius_line(group), B, J, x0, p0, cfg)
+    else:
+        ep = integrate_euler_poincare(
+            group, J, AlgebraElement(group, [0.8, 0.3, 0.1]), cfg)
+        p0 = 0.1 * np.arange(group.dim ** 2).reshape(group.dim, group.dim)
+        if group.is_complex:
+            p0 = p0 * (1.0 + 0.5j)
+        ext = integrate_extremal(group_manifold(group), B, J,
+                                 group_identity(group), p0, cfg, xi_traj=ep)
+    return J, B, replace(ext, xdot=ext.xdot * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("kind,group", [
+    ("manifold", GroupId.SO3), ("manifold", GroupId.SU2),
+    ("line", GroupId.SL2R), ("line", GroupId.SU2), ("line", GroupId.SO21)])
+def test_action_equality_matches_per_sample_reference(kind, group):
+    """The array integrands equal quadratic_cost and clebsch_lagrangian
+    evaluated sample by sample."""
+    J, B, ext = _action_case(kind, group)
+    space = moebius_line(group) if kind == "line" else group_manifold(group)
+    xis = [AlgebraElement(group, c) for c in ext.xi]
+    plain = quadrature(ext.times, np.array(
+        [quadratic_cost(J, xi) for xi in xis], dtype=np.complex128))
+    lifted = quadrature(ext.times, np.array(
+        [clebsch_lagrangian(space, B, J, x, p, xd, xi)
+         for x, p, xd, xi in zip(ext.x, ext.p, ext.xdot, xis)],
+        dtype=np.complex128))
+    reference = abs(lifted - plain) / (1.0 + abs(plain))
+    res = check_action_equality(J, B, ext)
+    assert reference > 1e-9
+    assert res.max_residual == pytest.approx(reference, rel=1e-8)
+
+
 def test_closed_form_gap_reported_honestly():
     """The integrated loop and the formula curves disagree by O(1); the
     check reports the measured gap instead of passing."""
     pars = SymmetricSolutionParams(I=1.0, I0=2.0, xi0=-0.5,
                                    xi_plus0=-1.0, xi_minus0=0.25)
-    res = check_closed_form(GroupId.SL2R, pars,
-                            IntegratorConfig("rk4", 1e-3, 1.0))
+    loop = _symmetric_loop(GroupId.SL2R, pars,
+                           IntegratorConfig("rk4", 1e-3, 1.0))
+    res = check_closed_form(pars, loop)
     assert not res.passed
     assert res.max_residual == pytest.approx(2.361051, rel=1e-4)
     assert "sup gap" in res.details
 
 
 def test_closed_form_divergence_becomes_failing_entry():
-    pars = SymmetricSolutionParams(I=1.0, I0=2.0, xi0=0.5, xi_plus0=1.0,
-                                   xi_minus0=-0.25)
-    res = check_closed_form(GroupId.SL2R, pars,
-                            IntegratorConfig("euler", 1e-3, 1.0))
+    # the escaping demo's euler loop diverges: the check's entry fails
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "scenarios", "riccati_sl2r_escaping.json")
+    res, = run_checks(Scenario(load_raw(path))).checks
+    assert res.name == "closed_form"
     assert not res.passed
     assert res.max_residual == np.inf
     assert "diverged near t = 0.968" in res.details
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the stationary-solution example inherits the formula/loop mismatch: "
     "the substituted field is p times a sum of squares, nonzero at the "
     "alleged rest point; measured gap is O(10)"))
@@ -228,9 +286,13 @@ def test_closed_form_stationary_example():
     # zero exponent: alpha = 0 via I0 = I, so the formulas freeze in place
     pars = SymmetricSolutionParams(I=1.0, I0=1.0, xi0=0.5, xi_plus0=0.5,
                                    xi_minus0=0.125)
-    res = check_closed_form(GroupId.SL2R, pars,
-                            IntegratorConfig("rk4", 1e-3, 1.0))
-    assert res.max_residual <= 1e-10
+    try:
+        gap = check_closed_form(pars, _symmetric_loop(
+            GroupId.SL2R, pars, IntegratorConfig("rk4", 1e-3, 1.0))
+        ).max_residual
+    except DivergenceError:
+        gap = np.inf
+    assert gap <= 1e-10
 
 
 def test_closed_loop_audit_self_consistency():
