@@ -2,8 +2,10 @@
 
 Covers: the reduced body-velocity equations and their group reconstruction,
 optimal-feedback extremal flows on the line (which drive Riccati equations
-and can blow up in finite time), lifted extremal flows on the group manifold,
-closed-form symmetric-case solutions, and quadrature of the running cost.
+and can blow up in finite time), lifted extremals on the group manifold
+(the reconstructed group curve carried to their start point, since the lift
+x' = x xi solves the reconstruction's own linear equation), closed-form
+symmetric-case solutions, and quadrature of the running cost.
 
 All steppers work on a uniform grid.  Fourth-order Runge-Kutta is the
 default; explicit Euler is available for comparison runs.
@@ -47,6 +49,7 @@ __all__ = [
     "feedback_solve",
     "closed_loop_rhs",
     "integrate_extremal",
+    "lift_extremal",
     "integrate_riccati",
     "closed_form_symmetric",
     "objective_value",
@@ -107,8 +110,8 @@ class Trajectory:
 
     Optional fields: xi (body velocity coefficients, shape (n, 3)), g (group
     elements, (n, d, d)), x and p (states and costates, scalar or matrix per
-    space), and xdot/pdot (the integrator's own right-hand-side samples,
-    suitable as on-grid derivatives).
+    space), and xdot/pdot (the flow's right-hand-side samples, suitable as
+    on-grid derivatives; a lifted extremal stores xdot alone).
     """
 
     group: GroupId
@@ -245,15 +248,14 @@ def _modulus(v) -> float:
 
 
 def _march(advance, y0: list, times: np.ndarray, message: str,
-           extrapolate: bool = False, names: tuple = ()) -> list:
+           extrapolate: bool = False) -> list:
     """The states y0, ..., y_n of y_{k+1} = advance(k, y_k) on the grid.
 
     Every new state is guarded: the first one holding a value that is not
     finite or whose modulus exceeds DIVERGENCE_CAP stops the march with a
     DivergenceError that carries the finite states y0, ..., y_k.  Its
-    message is formatted with the escape time t, the last finite sample
-    time last and what, the entry of names for the first component that
-    left.  The escape time is t_{k+1}, or with extrapolate the
+    message is formatted with the escape time t and the last finite sample
+    time last.  The escape time is t_{k+1}, or with extrapolate the
     reciprocal extrapolation from step k (near a simple pole 1/|y| decays
     linearly).
     """
@@ -265,15 +267,13 @@ def _march(advance, y0: list, times: np.ndarray, message: str,
             ys.append(nxt)
             continue
         mags = [_modulus(v) for v in nxt]
-        what = next((name for name, m in zip(names, mags)
-                     if not m <= DIVERGENCE_CAP), None)
         prev_mag = max(_modulus(v) for v in y)
         new_mag = max(mags) if all(map(math.isfinite, mags)) else math.inf
         t_prev, t = times[k], times[k + 1]
         if extrapolate and prev_mag < new_mag < math.inf and prev_mag > 0:
             inv_prev, inv_new = 1.0 / prev_mag, 1.0 / new_mag
             t = t + inv_new / ((inv_prev - inv_new) / (t - t_prev))
-        raise DivergenceError(message.format(t=t, last=t_prev, what=what),
+        raise DivergenceError(message.format(t=t, last=t_prev),
                               escape_time=float(t), last_index=k,
                               states=ys)
     return ys
@@ -421,56 +421,56 @@ def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients, I_coeffs,
 
 
 def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
-                       J: InertiaOperator, x0, p0, cfg: IntegratorConfig,
-                       xi_traj: Trajectory | None = None) -> Trajectory:
-    """Integrate an extremal flow, storing states, costates, controls, and
-    the right-hand-side samples.
+                       J: InertiaOperator, x0, p0,
+                       cfg: IntegratorConfig) -> Trajectory:
+    """Integrate the extremal flow on the line, storing states, costates,
+    controls, and the right-hand-side samples.
 
-    On the line the control comes from the optimal feedback, so the system
-    is the closed loop (solutions may escape in finite time; the divergence
-    error carries an escape-time estimate).  On the group manifold the
-    control curve must be supplied and the flow is the linear lift
-    xdot = x xi(t), pdot = p xi(t).
+    The control comes from the optimal feedback, so the system is the
+    closed loop (solutions may escape in finite time; the divergence error
+    carries an escape-time estimate).  Group-manifold extremals come from
+    lift_extremal instead.
     """
+    if not space.is_line:
+        raise DomainError("group-manifold extremals are the group curve "
+                          "carried to (x0, p0): use lift_extremal")
     group = space.group
     times = cfg.times()
-    n = times.size
     dtype = group.scalar_dtype
-    if space.is_line:
-        control, field = _line_loop(group, B, J)
-        step = _stepper(cfg.method, field, cfg.step)
-        ys = _march(lambda k, y: step(y), _line_point(group, x0, p0), times,
-                    "extremal escaped near t = {t:.6g} (last finite sample "
-                    "at t = {last:.6g})", extrapolate=True)
-        xs, ps = np.array(ys, dtype=dtype).T
-        xis = np.array([control(x, p) for x, p in ys], dtype=dtype)
-        xdot, pdot = np.array([field(y) for y in ys], dtype=dtype).T
-        return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps,
-                          xdot=xdot, pdot=pdot)
+    control, field = _line_loop(group, B, J)
+    step = _stepper(cfg.method, field, cfg.step)
+    ys = _march(lambda k, y: step(y), _line_point(group, x0, p0), times,
+                "extremal escaped near t = {t:.6g} (last finite sample "
+                "at t = {last:.6g})", extrapolate=True)
+    xs, ps = np.array(ys, dtype=dtype).T
+    xis = np.array([control(x, p) for x, p in ys], dtype=dtype)
+    xdot, pdot = np.array([field(y) for y in ys], dtype=dtype).T
+    return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps,
+                      xdot=xdot, pdot=pdot)
 
-    if xi_traj is None or xi_traj.xi is None:
-        raise DomainError("group-manifold extremals need a control trajectory")
-    if xi_traj.times.size != n or abs(xi_traj.step - cfg.step) > 1e-12 * cfg.step:
-        raise DomainError("control trajectory grid does not match the config")
-    if not isinstance(x0, GroupElement) or x0.group is not group:
-        raise DomainError("x0 must be a group element of the space's group")
-    mats = np.tensordot(xi_traj.xi, _BASES[group], axes=(1, 0))  # (n, d, d)
-    # the lift is linear, so every step is a product with the propagator
-    # that one Euler or RK4 step applies to the identity
-    step = _stepper(cfg.method, lambda y, m: [y[0] @ m], cfg.step)
-    eye = np.broadcast_to(np.eye(group.dim, dtype=dtype), mats[1:].shape)
-    prop, = step([eye], mats[:-1], 0.5 * (mats[:-1] + mats[1:]), mats[1:])
 
-    ys = _march(lambda k, y: [y[0] @ prop[k], y[1] @ prop[k]],
-                [x0.matrix, np.asarray(p0, dtype=dtype)], times,
-                "{what} left the finite range near t = {t:.6g}",
-                names=("state", "costate"))
-    xs = np.array([x for x, _ in ys], dtype=dtype)
-    ps = np.array([p for _, p in ys], dtype=dtype)
-    xdot = np.einsum("kij,kjl->kil", xs, mats)
-    pdot = np.einsum("kij,kjl->kil", ps, mats)
-    return Trajectory(group=group, times=times, xi=xi_traj.xi.copy(), x=xs,
-                      p=ps, xdot=xdot, pdot=pdot)
+def lift_extremal(curve: Trajectory, x0, p0) -> Trajectory:
+    """The lifted extremal xdot = x xi, pdot = p xi on the group manifold.
+
+    The lift solves the same linear equation as the reconstruction
+    g' = g xi, so it is the group curve carried to its start point:
+    x(t) = x0 g(0)^(-1) g(t) and p(t) = p0 g(0)^(-1) g(t).  curve carries
+    the control samples xi and the group curve g (any g(0)); x0 is a group
+    element or matrix, p0 a matrix.  Returns curve with x, p and the
+    control-equation samples xdot = x xi filled in.
+    """
+    if curve.g is None or curve.xi is None:
+        raise DomainError("the lift needs control and group samples")
+    if abs(np.linalg.det(curve.g[0])) < 1e-12:
+        raise DomainError("singular group sample at index 0")
+    transport = np.linalg.solve(curve.g[0], curve.g)  # g(0)^(-1) g(t)
+    dtype = curve.group.scalar_dtype
+    x0m = np.asarray(getattr(x0, "matrix", x0), dtype=dtype)
+    xs = np.einsum("ij,kjl->kil", x0m, transport)
+    ps = np.einsum("ij,kjl->kil", np.asarray(p0, dtype=dtype), transport)
+    ximats = np.tensordot(curve.xi, _BASES[curve.group], axes=(1, 0))
+    return replace(curve, x=xs, p=ps,
+                   xdot=np.einsum("kij,kjl->kil", xs, ximats))
 
 
 def integrate_riccati(group: GroupId, B: ConnectionCoefficients,

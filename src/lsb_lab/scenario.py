@@ -10,6 +10,7 @@ writes, no timestamps).
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -19,7 +20,6 @@ import numpy as np
 from ._version import __version__
 from .actions import (
     ConnectionCoefficients,
-    group_manifold,
     moebius_line,
 )
 from .dynamics import (
@@ -31,6 +31,7 @@ from .dynamics import (
     integrate_euler_poincare,
     integrate_extremal,
     integrate_riccati,
+    lift_extremal,
     reconstruct_group,
 )
 from .errors import (
@@ -149,12 +150,33 @@ class Scenario:
                                  self.initial["g0"])
 
     @functools.cached_property
+    def lifted_extremal(self):
+        """group_curve carried to (initial.x0, initial.p0); p0 defaults to
+        the minimum-norm costate matching the momentum J xi0."""
+        x0, p0 = self.initial["x0"], self.initial["p0"]
+        if p0 is None:
+            p0 = min_norm_costate(self.group, self.inertia.matrix3,
+                                  self.reduced_flow.xi[0], x0.matrix)
+        return lift_extremal(self.group_curve, x0, p0)
+
+    @property
     def line_extremal(self):
-        """Line extremal from (initial.x0, initial.p0) (riccati problems)."""
-        return integrate_extremal(
-            moebius_line(self.group), self.connection,
-            self.inertia_coefficients, self.initial["x0"],
-            self.initial["p0"], self.config)
+        """Line extremal from (initial.x0, initial.p0) (riccati problems).
+
+        A divergence is kept and raised again for every later reader."""
+        if isinstance(self._line_run, DivergenceError):
+            raise self._line_run
+        return self._line_run
+
+    @functools.cached_property
+    def _line_run(self):
+        try:
+            return integrate_extremal(
+                moebius_line(self.group), self.connection,
+                self.inertia_coefficients, self.initial["x0"],
+                self.initial["p0"], self.config)
+        except DivergenceError as e:
+            return e
 
 
 def _require_object(v, path):
@@ -486,8 +508,7 @@ def _symmetric_family(scn):
 # benchmark's tracer) sees every call.
 
 def _equivalence_rigid(scn):
-    return check_equivalence_rigid(scn.inertia, scn.group_curve,
-                                   scn.initial["x0"])
+    return check_equivalence_rigid(scn.inertia, scn.lifted_extremal)
 
 
 def _conservation(scn):
@@ -508,14 +529,8 @@ def _rk4_order(scn):
 
 
 def _manifold_action_equality(scn):
-    x0, p0 = scn.initial["x0"], scn.initial["p0"]
-    if p0 is None:
-        p0 = min_norm_costate(scn.group, scn.inertia.matrix3,
-                              scn.initial["xi0"], x0.matrix)
-    ext = integrate_extremal(
-        group_manifold(scn.group), scn.connection, scn.inertia, x0, p0,
-        scn.config, xi_traj=scn.reduced_flow)
-    return (check_action_equality(scn.inertia, scn.connection, ext),)
+    return (check_action_equality(scn.inertia, scn.connection,
+                                  scn.lifted_extremal),)
 
 
 def _cross_ratio(scn):
@@ -644,13 +659,15 @@ def format_table(header, rows):
     return "\n".join(lines)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    # chunks: an iterable of strings, written in turn to a temporary file
+    # that replaces path only once every chunk is written
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -666,10 +683,10 @@ def write_csv(path, columns):
     for name, arr in zip(names, arrays):
         if arr.ndim != 1 or arr.size != n:
             raise DomainError(f"column {name} does not match the grid")
-    lines = [",".join(names)]
-    for k in range(n):
-        lines.append(",".join("%.17g" % arr[k] for arr in arrays))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+    rows = zip(*[arr.tolist() for arr in arrays])
+    _atomic_write(path, itertools.chain([",".join(names) + "\n"],
+                                        (row % values for values in rows)))
 
 
 def read_csv(path):
@@ -684,5 +701,4 @@ def write_report(path, report):
     """Serialize a verification report with tool version, atomically."""
     obj = report.to_dict()
     obj["tool_version"] = __version__
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, text)
+    _atomic_write(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])

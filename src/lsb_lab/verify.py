@@ -133,50 +133,29 @@ def min_norm_costate(group: GroupId, J3, xi0, x0m):
     return np.linalg.solve(np.asarray(x0m).conj().T, M0 / 2.0)
 
 
-def check_equivalence_rigid(J_in, traj, x0):
+def check_equivalence_rigid(J_in, lift):
     """Certify the two-sided correspondence on a rigid-body run.
 
-    Inputs: inertia J_in, a trajectory carrying the control samples xi and
-    the group curve g with g' = g xi (body convention, any g(0)), and a
-    start point x0 on the group.  Builds x(t) = x0 g(0)^(-1) g(t) and
-    p(t) = p0 g(0)^(-1) g(t), where p0 is the minimum-norm solution of the
-    momentum matching condition at t = 0, then measures (i) the
-    control-equation residual x' - x xi by central differences and (ii) the
-    momentum matching residual along the flow.  Returns two CheckResult
-    entries.
+    Inputs: inertia J_in and a lifted extremal (see dynamics.lift_extremal)
+    carrying the control samples xi, the states x, the costates p and the
+    control-equation samples xdot = x xi.  Measures (i) the control-equation
+    residual x' - x xi, with x' by central differences, and (ii) the
+    momentum matching residual x^H p - p^H x - J xi along the flow.
+    Returns two CheckResult entries.
     """
-    group = traj.group
-    if traj.g is None or traj.xi is None:
-        raise DomainError("control and group samples required")
-    g, xi, times = traj.g, traj.xi, traj.times
-    n = times.size
+    if any(getattr(lift, f) is None for f in ("xi", "x", "p", "xdot")):
+        raise DomainError("a lifted extremal (lift_extremal) is required")
+    group, xs, n = lift.group, lift.x, lift.times.size
     J3 = _inertia_matrix3(group, J_in)
-    h = traj.step
-    base = _BASES[group]
+    r_control = _frobenius_max(central_difference(lift.times, xs) - lift.xdot)
 
-    if abs(np.linalg.det(g[0])) < 1e-12:
-        raise DomainError("singular group sample at index 0")
-    transport = np.linalg.solve(g[0], g)  # g(0)^(-1) g(t)
-
-    x0m = np.asarray(x0.matrix if hasattr(x0, "matrix") else x0,
-                     dtype=group.scalar_dtype)
-    xs = np.einsum("ij,kjl->kil", x0m, transport)
-
-    p0 = min_norm_costate(group, J3, xi[0], x0m)
-    ps = np.einsum("ij,kjl->kil", p0, transport)
-
-    ximats = np.tensordot(xi, base, axes=(1, 0)).astype(group.scalar_dtype)
-    xdot = central_difference(times, xs)
-    control = xdot - np.einsum("kij,kjl->kil", xs, ximats)
-    r_control = _frobenius_max(control)
-
-    matched = np.einsum("kij,kjl->kil", xs.conj().transpose(0, 2, 1), ps)
+    matched = np.einsum("kij,kjl->kil", xs.conj().transpose(0, 2, 1), lift.p)
     Msamples = matched - matched.conj().transpose(0, 2, 1)
-    Jxi = xi @ J3.T
-    Jmats = np.tensordot(Jxi, base, axes=(1, 0)).astype(group.scalar_dtype)
+    Jmats = np.tensordot(lift.xi @ J3.T, _BASES[group],
+                         axes=(1, 0)).astype(group.scalar_dtype)
     r_constraint = _frobenius_max(Msamples - Jmats)
 
-    tol = _residual_tolerance(h)
+    tol = _residual_tolerance(lift.step)
     return (
         CheckResult.from_residual(
             "equivalence_rigid.control", r_control, tol,

@@ -27,17 +27,18 @@ from lsb_lab import (
     check_rk4_order,
     closed_form_symmetric,
     group_identity,
-    group_manifold,
     inertia_diagonal,
     integrate_euler_poincare,
     integrate_extremal,
     integrate_riccati,
+    lift_extremal,
     line_generator_polynomials,
     moebius_closure_constants,
     moebius_line,
     reconstruct_group,
     structure_constants,
 )
+from lsb_lab.verify import min_norm_costate
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
 LINE_GROUPS = [GroupId.SL2R, GroupId.SU2, GroupId.SO21]
@@ -133,9 +134,11 @@ def test_rigid_body_equivalence_and_conservation(capsys):
     om0 = AlgebraElement(GroupId.SO3, [0.8, 0.3, 0.1])
     cfg = IntegratorConfig("rk4", 1e-3, 1.0)
     ep = integrate_euler_poincare(GroupId.SO3, J, om0, cfg)
-    curve = reconstruct_group(GroupId.SO3, ep, group_identity(GroupId.SO3))
-    ctrl, cons = check_equivalence_rigid(J, curve,
-                                         group_identity(GroupId.SO3))
+    x0 = group_identity(GroupId.SO3)
+    curve = reconstruct_group(GroupId.SO3, ep, x0)
+    lift = lift_extremal(curve, x0, min_norm_costate(
+        GroupId.SO3, J.matrix3, om0.coeffs, x0.matrix))
+    ctrl, cons = check_equivalence_rigid(J, lift)
 
     long_ep = integrate_euler_poincare(GroupId.SO3, J, om0,
                                        IntegratorConfig("rk4", 1e-3, 10.0))
@@ -209,9 +212,8 @@ def test_lifted_action_equals_plain_action(capsys):
     cfg = IntegratorConfig("rk4", 1e-3, 1.0)
     ep = integrate_euler_poincare(GroupId.SO3, J, om0, cfg)
     p0 = 0.5 * AlgebraElement(GroupId.SO3, J.matrix3 @ om0.coeffs).matrix()
-    lift = integrate_extremal(group_manifold(GroupId.SO3), B_ONE, J,
-                              group_identity(GroupId.SO3), p0, cfg,
-                              xi_traj=ep)
+    x0 = group_identity(GroupId.SO3)
+    lift = lift_extremal(reconstruct_group(GroupId.SO3, ep, x0), x0, p0)
     entries = {"rigid lift": check_action_equality(J, B_ONE, lift)}
 
     # line extremals from the symmetric seed points; the sl2r one blows up

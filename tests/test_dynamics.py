@@ -27,6 +27,7 @@ from lsb_lab import (
     integrate_euler_poincare,
     integrate_extremal,
     integrate_riccati,
+    lift_extremal,
     moebius_line,
     objective_value,
     quadrature,
@@ -192,28 +193,85 @@ def test_reconstruction_input_checks():
 
 
 def test_manifold_lift_constant_control():
-    """With frozen control the linear lift is the exponential curve."""
+    """With frozen control the lift is the exponential curve."""
     xi = AlgebraElement(GroupId.SO3, [0.3, -0.5, 0.4])
     cfg = IntegratorConfig("rk4", 1e-3, 1.0)
     n = cfg.n_steps + 1
     flat = Trajectory(group=GroupId.SO3, times=cfg.times(),
                       xi=np.tile(xi.coeffs, (n, 1)))
+    curve = reconstruct_group(GroupId.SO3, flat, group_identity(GroupId.SO3))
     x0 = exp_map(AlgebraElement(GroupId.SO3, [0.1, 0.2, -0.3]))
     p0 = np.zeros((3, 3))
-    ext = integrate_extremal(group_manifold(GroupId.SO3), B_ONE,
-                             inertia_diagonal(GroupId.SO3, 1.0, 2.0, 3.0),
-                             x0, p0, cfg, xi_traj=flat)
+    ext = lift_extremal(curve, x0, p0)
     exact = x0.matrix @ exp_map(xi).matrix
     npt.assert_allclose(ext.x[-1], exact, atol=1e-12)
     npt.assert_array_equal(ext.p, np.zeros_like(ext.p))
+    assert ext.pdot is None
 
 
 def test_manifold_lift_requires_control():
     cfg = IntegratorConfig("rk4", 0.1, 1.0)
     J = inertia_diagonal(GroupId.SO3, 1.0, 2.0, 3.0)
-    with pytest.raises(DomainError):
+    # the manifold lift is no integration: integrate_extremal points to it
+    with pytest.raises(DomainError, match="lift_extremal"):
         integrate_extremal(group_manifold(GroupId.SO3), B_ONE, J,
                            group_identity(GroupId.SO3), np.zeros((3, 3)), cfg)
+    ep = integrate_euler_poincare(
+        GroupId.SO3, J, AlgebraElement(GroupId.SO3, [0.8, 0.3, 0.1]), cfg)
+    with pytest.raises(DomainError, match="group samples"):
+        lift_extremal(ep, group_identity(GroupId.SO3), np.zeros((3, 3)))
+
+
+def _lift_xi(t):
+    # a smooth control curve with every slot time-dependent
+    return [0.5 + 0.3 * t, -0.4 * np.cos(2.0 * t), 0.3 + 0.2 * np.sin(3.0 * t)]
+
+
+def _lift_gap(group, h):
+    """Sup gap between lift_extremal and RK4 on x' = x xi(t), p' = p xi(t)
+    with the exact control at the stage times, from g0 != x0."""
+    dtype = group.scalar_dtype
+    cfg = IntegratorConfig("rk4", h, 1.0)
+    times = cfg.times()
+    curve = reconstruct_group(
+        group, Trajectory(group=group, times=times,
+                          xi=np.array([_lift_xi(t) for t in times],
+                                      dtype=dtype)),
+        exp_map(AlgebraElement(group, [-0.2, 0.1, 0.4])))
+    x0 = exp_map(AlgebraElement(group, [0.1, 0.2, -0.3]))
+    d = group.dim
+    p0 = 0.1 * np.arange(d * d).reshape(d, d)
+    if group.is_complex:
+        p0 = p0 * (1.0 + 0.5j)
+    lift = lift_extremal(curve, x0, p0)
+
+    def ximat(t):
+        return AlgebraElement(group, _lift_xi(t)).matrix()
+
+    y = np.vstack([x0.matrix, p0]).astype(dtype)  # rows of x, then of p
+    ref = [y]
+    for t in times[:-1]:
+        a, m, b = ximat(t), ximat(t + h / 2.0), ximat(t + h)
+        k1 = y @ a
+        k2 = (y + (h / 2.0) * k1) @ m
+        k3 = (y + (h / 2.0) * k2) @ m
+        k4 = (y + h * k3) @ b
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ref.append(y)
+    ref = np.array(ref)
+    mats = np.array([AlgebraElement(group, c).matrix() for c in lift.xi])
+    npt.assert_allclose(lift.xdot, lift.x @ mats, rtol=0, atol=1e-14)
+    return max(np.abs(lift.x - ref[:, :d]).max(),
+               np.abs(lift.p - ref[:, d:]).max())
+
+
+@pytest.mark.parametrize("group", list(GroupId))
+def test_lift_matches_reference_rk4(group):
+    """The lift carries the midpoint-exponential group curve, second order
+    in h: halving the step shrinks its gap to RK4 by about 4."""
+    coarse, fine = _lift_gap(group, 1e-3), _lift_gap(group, 5e-4)
+    assert coarse < 1e-6  # 1.7e-7 to 2.3e-7 on the four groups
+    assert 3.5 < coarse / fine < 4.5
 
 
 def test_line_extremal_conserves_slot_momentum():

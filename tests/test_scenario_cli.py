@@ -214,6 +214,23 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert list(back) == ["t", "x", "p"]
     for name, arr in cols:
         npt.assert_array_equal(back[name], arr)
+    # the exact bytes: header, 17-significant-digit rows, final newline
+    rows = zip(*(arr for _, arr in cols))
+    expected = "t,x,p\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_atomic_write_leaves_no_file_on_a_failed_stream(tmp_path):
+    def rows():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise RuntimeError("stream broke")
+
+    path = tmp_path / "out" / "t.csv"
+    with pytest.raises(RuntimeError, match="stream broke"):
+        lsb_lab.scenario._atomic_write(str(path), rows())
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_report_file_shape(tmp_path):
@@ -441,7 +458,7 @@ def test_scenario_construction_integrates_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("demo,reduced,extremal", [
-    ("rigid_body_so3.json", 1, 1),          # reduced flow, manifold lift
+    ("rigid_body_so3.json", 1, 0),          # reduced flow; its lift
     ("riccati_sl2r_symmetric.json", 0, 1),  # line extremal
 ])
 def test_cli_verify_integrates_each_trajectory_once(tmp_path, monkeypatch,
@@ -452,9 +469,69 @@ def test_cli_verify_integrates_each_trajectory_once(tmp_path, monkeypatch,
     # rk4_order integrates the reduced flow on three grids of its own
     own = 3 * ("rk4_order" in load_raw(path)["checks"])
     assert calls["integrate_euler_poincare"] == reduced + own
-    # one group curve serves equivalence_rigid and the CSV
+    # one group curve serves the CSV and, carried to (x0, p0) as the
+    # lifted extremal, equivalence_rigid and action_equality
     assert calls["reconstruct_group"] == reduced
     assert calls["integrate_extremal"] == extremal
+
+
+def test_diverged_line_extremal_is_integrated_once(tmp_path, monkeypatch,
+                                                   capsys):
+    # closed_form turns the divergence into a failing entry; the next
+    # reader gets the same divergence without a second integration
+    calls = _count_integrations(monkeypatch)
+    path = os.path.join(DEMOS, "riccati_sl2r_escaping.json")
+    code = main(["verify", path, "--out", str(tmp_path),
+                 "--set", 'checks=["closed_form", "action_equality"]'])
+    assert code == 3
+    assert "extremal escaped near t = 0.968" in capsys.readouterr().err
+    assert calls["integrate_extremal"] == 1
+
+
+def _rigid_demo_with_costate(tmp_path, p0):
+    raw = load_raw(os.path.join(DEMOS, "rigid_body_so3.json"))
+    raw["initial"]["p0"] = p0.tolist()
+    raw["checks"] = ["equivalence_rigid"]
+    return _write(tmp_path, raw, name="rigid_p0.json")
+
+
+def test_rigid_costate_is_measured(tmp_path, capsys):
+    # equivalence_rigid.constraint measures the scenario's own p0: the
+    # momentum x^H p - p^H x pins only the skew part of x0^H p0
+    scn = Scenario(load_raw(os.path.join(DEMOS, "rigid_body_so3.json")))
+    p_min = lsb_lab.verify.min_norm_costate(
+        scn.group, scn.inertia.matrix3, scn.initial["xi0"],
+        scn.initial["x0"].matrix)
+    doubled = _rigid_demo_with_costate(tmp_path, 2.0 * p_min)
+    assert main(["verify", doubled, "--out", str(tmp_path / "a")]) == 2
+    out = capsys.readouterr().out
+    assert "PASS equivalence_rigid.control" in out
+    assert "FAIL equivalence_rigid.constraint" in out
+    # at x0 = I a symmetric part of p0 leaves the momentum unchanged
+    shifted = _rigid_demo_with_costate(tmp_path, p_min + np.eye(3))
+    assert main(["verify", shifted, "--out", str(tmp_path / "b")]) == 0
+    assert "PASS equivalence_rigid.constraint" in capsys.readouterr().out
+
+
+def test_rigid_lift_does_not_depend_on_the_integrator(tmp_path, capsys):
+    # the lift is the reconstructed group curve whatever integrator made
+    # the reduced flow, so its control-equation precheck holds with euler
+    path = os.path.join(DEMOS, "rigid_body_so3.json")
+    code = main(["verify", path, "--out", str(tmp_path), "--set",
+                 "integrator=euler", "--set", 'checks=["action_equality"]'])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS action_equality: residual 0.000000e+00" in out
+    # the momentum constraint still measures euler's own O(h) error in
+    # the reduced flow: J xi(t) leaves the transported momentum by 1e-4
+    code = main(["verify", path, "--out", str(tmp_path), "--set",
+                 "integrator=euler", "--set",
+                 'checks=["equivalence_rigid", "action_equality"]'])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "PASS equivalence_rigid.control" in out
+    assert "FAIL equivalence_rigid.constraint: residual 1.01" in out
+    assert "PASS action_equality" in out
 
 
 def test_cli_compare_keeps_the_diverged_prefix(monkeypatch, capsys):

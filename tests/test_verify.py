@@ -34,12 +34,14 @@ from lsb_lab import (
     integrate_euler_poincare,
     integrate_extremal,
     integrate_riccati,
+    lift_extremal,
     moebius_line,
     quadratic_cost,
     quadrature,
     reconstruct_group,
 )
 from lsb_lab.scenario import Scenario, load_raw, run_checks
+from lsb_lab.verify import min_norm_costate
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
 J123 = inertia_diagonal(GroupId.SO3, 1.0, 2.0, 3.0)
@@ -50,6 +52,13 @@ def _rigid_curve(cfg):
     """Reduced flow with its group curve g' = g xi from the identity."""
     ep = integrate_euler_poincare(GroupId.SO3, J123, OMEGA0, cfg)
     return reconstruct_group(GroupId.SO3, ep, group_identity(GroupId.SO3))
+
+
+def _rigid_lift(curve):
+    """The curve carried to the identity with the minimum-norm costate."""
+    x0 = group_identity(GroupId.SO3)
+    p0 = min_norm_costate(GroupId.SO3, J123.matrix3, OMEGA0.coeffs, x0.matrix)
+    return lift_extremal(curve, x0, p0)
 
 
 def _symmetric_loop(group, pars, cfg):
@@ -110,9 +119,8 @@ def test_central_difference_second_order():
 
 
 def test_rigid_equivalence_residuals():
-    curve = _rigid_curve(IntegratorConfig("rk4", 1e-3, 1.0))
-    entries = check_equivalence_rigid(J123, curve,
-                                      group_identity(GroupId.SO3))
+    lift = _rigid_lift(_rigid_curve(IntegratorConfig("rk4", 1e-3, 1.0)))
+    entries = check_equivalence_rigid(J123, lift)
     by_name = {e.name: e for e in entries}
     ctrl = by_name["equivalence_rigid.control"]
     cons = by_name["equivalence_rigid.constraint"]
@@ -123,17 +131,20 @@ def test_rigid_equivalence_residuals():
 
 def test_rigid_equivalence_rejects_singular_samples():
     curve = _rigid_curve(IntegratorConfig("rk4", 0.1, 0.5))
-    x0 = group_identity(GroupId.SO3)
-    # g(0) is the one matrix the check inverts
+    # g(0) is the one matrix the lift inverts
     g_bad = curve.g.copy()
     g_bad[0] = 0.0
     with pytest.raises(DomainError, match="singular group sample"):
-        check_equivalence_rigid(J123, replace(curve, g=g_bad), x0)
+        _rigid_lift(replace(curve, g=g_bad))
     # a zeroed later sample breaks the control equation there
     g_bad = curve.g.copy()
     g_bad[3] = 0.0
-    ctrl, cons = check_equivalence_rigid(J123, replace(curve, g=g_bad), x0)
+    ctrl, cons = check_equivalence_rigid(
+        J123, _rigid_lift(replace(curve, g=g_bad)))
     assert not ctrl.passed and not cons.passed
+    # the group curve alone is no lift
+    with pytest.raises(DomainError, match="lifted extremal"):
+        check_equivalence_rigid(J123, curve)
 
 
 def test_conservation_drift_at_roundoff():
@@ -189,11 +200,9 @@ def test_cross_ratio_input_checks():
 
 def test_action_equality_on_rigid_lift():
     cfg = IntegratorConfig("rk4", 1e-3, 1.0)
-    ep = _rigid_curve(cfg)
     x0 = group_identity(GroupId.SO3)
     p0 = 0.5 * AlgebraElement(GroupId.SO3, J123.matrix3 @ OMEGA0.coeffs).matrix()
-    ext = integrate_extremal(group_manifold(GroupId.SO3), B_ONE, J123,
-                             x0, p0, cfg, xi_traj=ep)
+    ext = lift_extremal(_rigid_curve(cfg), x0, p0)
     res = check_action_equality(J123, B_ONE, ext)
     assert res.passed
     # the multiplier term vanishes identically on the stored lift
@@ -202,10 +211,8 @@ def test_action_equality_on_rigid_lift():
 
 def test_action_equality_flags_uncontrolled_curves():
     cfg = IntegratorConfig("rk4", 1e-2, 0.5)
-    ep = _rigid_curve(cfg)
-    ext = integrate_extremal(group_manifold(GroupId.SO3), B_ONE, J123,
-                             group_identity(GroupId.SO3), np.zeros((3, 3)),
-                             cfg, xi_traj=ep)
+    ext = lift_extremal(_rigid_curve(cfg), group_identity(GroupId.SO3),
+                        np.zeros((3, 3)))
     broken = replace(ext, xdot=ext.xdot + 1.0)
     res = check_action_equality(J123, B_ONE, broken)
     assert not res.passed
@@ -228,8 +235,8 @@ def _action_case(kind, group):
         p0 = 0.1 * np.arange(group.dim ** 2).reshape(group.dim, group.dim)
         if group.is_complex:
             p0 = p0 * (1.0 + 0.5j)
-        ext = integrate_extremal(group_manifold(group), B, J,
-                                 group_identity(group), p0, cfg, xi_traj=ep)
+        curve = reconstruct_group(group, ep, group_identity(group))
+        ext = lift_extremal(curve, group_identity(group), p0)
     return J, B, replace(ext, xdot=ext.xdot * (1.0 + 1e-6))
 
 
