@@ -85,8 +85,7 @@ def _report_lines(report):
     return lines
 
 
-def _cmd_simulate(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_simulate(args):
     scn = _resolve(args)
     cols = sc.simulate_columns(scn)
     path = _output_path(args, scn, "trajectory_csv")
@@ -94,35 +93,33 @@ def _cmd_simulate(args, out=None):
         path = os.path.join(args.out or ".", "trajectory.csv")
     sc.write_csv(path, cols)
     print(f"wrote {path} ({cols[0][1].size} samples, "
-          f"{len(cols)} columns)", file=out)
+          f"{len(cols)} columns)")
     return EXIT_OK
 
 
-def _cmd_verify(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_verify(args):
     scn = _resolve(args)
     report = sc.run_checks(scn)
     for line in _report_lines(report):
-        print(line, file=out)
+        print(line)
     path = _output_path(args, scn, "report_json")
     if path is not None:
         sc.write_report(path, report)
-        print(f"wrote {path}", file=out)
+        print(f"wrote {path}")
     csv_path = _output_path(args, scn, "trajectory_csv")
     if csv_path is not None:
         sc.write_csv(csv_path, sc.simulate_columns(scn))
-        print(f"wrote {csv_path}", file=out)
+        print(f"wrote {csv_path}")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def _cmd_compare(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_compare(args):
     scn = _resolve(args)
     header, rows, escape = sc.compare_table(scn)
-    print(sc.format_table(header, rows), file=out)
+    print(sc.format_table(header, rows))
     if escape is not None:
         print(f"numeric solution diverged near t = {escape:.6g}; "
-              "table truncated to the surviving prefix", file=out)
+              "table truncated to the surviving prefix")
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -134,8 +131,7 @@ def _sweep_values(text):
     return values
 
 
-def _cmd_sweep(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_sweep(args):
     values = _sweep_values(args.values)
     base_raw = sc.load_raw(args.scenario)
     base_raw = sc.apply_overrides(base_raw, args.assignments, step=args.step,
@@ -144,21 +140,22 @@ def _cmd_sweep(args, out=None):
     worst = EXIT_OK
     for value in values:
         # each value writes under its own directory and shares nothing
-        raw = sc.apply_overrides(base_raw, [f"{args.param}={value}"])
-        scn = sc.Scenario(raw)
         label = f"{args.param}={value}"
         out_dir = os.path.join(args.out or "sweep_out",
                                label.replace("/", "_"))
-        print(f"--- {label}", file=out)
+        print(f"--- {label}")
         code = EXIT_OK
         try:
+            # an invalid value fails on its own; later values still run
+            scn = sc.Scenario(
+                sc.apply_overrides(base_raw, [f"{args.param}={value}"]))
             csv_path = scn.outputs.get("trajectory_csv", "trajectory.csv")
             sc.write_csv(os.path.join(out_dir, csv_path),
                          sc.simulate_columns(scn))
             if scn.checks:
                 report = sc.run_checks(scn)
                 for line in _report_lines(report):
-                    print(line, file=out)
+                    print(line)
                 sc.write_report(
                     os.path.join(out_dir,
                                  scn.outputs.get("report_json",
@@ -166,10 +163,10 @@ def _cmd_sweep(args, out=None):
                 if not report.all_passed:
                     code = EXIT_CHECK_FAILED
         except (DivergenceError, PoleError) as e:
-            print(f"aborted: {e}", file=out)
+            print(f"aborted: {e}")
             code = EXIT_DIVERGED
         except ScenarioError as e:
-            print(f"input error: {e}", file=out)
+            print(f"input error: {e}")
             code = EXIT_INPUT
         worst = max(worst, code)
     return worst

@@ -31,7 +31,6 @@ from .groups import (
     GroupElement,
     GroupId,
     InertiaOperator,
-    _BASES,
     _STRUCTURE,
     bracket,
     exp_matrices,
@@ -109,9 +108,10 @@ class Trajectory:
     """Struct-of-arrays trajectory on a uniform time grid.
 
     Optional fields: xi (body velocity coefficients, shape (n, 3)), g (group
-    elements, (n, d, d)), x and p (states and costates, scalar or matrix per
-    space), and xdot/pdot (the flow's right-hand-side samples, suitable as
-    on-grid derivatives; a lifted extremal stores xdot alone).
+    elements, (n, d, d)), and x and p (states and costates, scalar or matrix
+    per space).  A trajectory holds only what was integrated or transported;
+    the control field on its samples is evaluated where it is measured
+    (verify).
     """
 
     group: GroupId
@@ -120,8 +120,6 @@ class Trajectory:
     g: np.ndarray | None = None
     x: np.ndarray | None = None
     p: np.ndarray | None = None
-    xdot: np.ndarray | None = None
-    pdot: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -133,7 +131,7 @@ class Trajectory:
         if np.abs(dt - dt[0]).max() > 1e-9 * max(dt[0], 1.0):
             raise DomainError("times must be uniform")
         object.__setattr__(self, "times", t)
-        for name in ("xi", "g", "x", "p", "xdot", "pdot"):
+        for name in ("xi", "g", "x", "p"):
             arr = getattr(self, name)
             if arr is not None and len(arr) != t.size:
                 raise DomainError(f"{name} has {len(arr)} samples for "
@@ -423,8 +421,8 @@ def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients, I_coeffs,
 def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
                        J: InertiaOperator, x0, p0,
                        cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the extremal flow on the line, storing states, costates,
-    controls, and the right-hand-side samples.
+    """Integrate the extremal flow on the line, storing states, costates
+    and controls.
 
     The control comes from the optimal feedback, so the system is the
     closed loop (solutions may escape in finite time; the divergence error
@@ -444,9 +442,7 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
                 "at t = {last:.6g})", extrapolate=True)
     xs, ps = np.array(ys, dtype=dtype).T
     xis = np.array([control(x, p) for x, p in ys], dtype=dtype)
-    xdot, pdot = np.array([field(y) for y in ys], dtype=dtype).T
-    return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps,
-                      xdot=xdot, pdot=pdot)
+    return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps)
 
 
 def lift_extremal(curve: Trajectory, x0, p0) -> Trajectory:
@@ -456,8 +452,7 @@ def lift_extremal(curve: Trajectory, x0, p0) -> Trajectory:
     g' = g xi, so it is the group curve carried to its start point:
     x(t) = x0 g(0)^(-1) g(t) and p(t) = p0 g(0)^(-1) g(t).  curve carries
     the control samples xi and the group curve g (any g(0)); x0 is a group
-    element or matrix, p0 a matrix.  Returns curve with x, p and the
-    control-equation samples xdot = x xi filled in.
+    element or matrix, p0 a matrix.  Returns curve with x and p filled in.
     """
     if curve.g is None or curve.xi is None:
         raise DomainError("the lift needs control and group samples")
@@ -468,9 +463,7 @@ def lift_extremal(curve: Trajectory, x0, p0) -> Trajectory:
     x0m = np.asarray(getattr(x0, "matrix", x0), dtype=dtype)
     xs = np.einsum("ij,kjl->kil", x0m, transport)
     ps = np.einsum("ij,kjl->kil", np.asarray(p0, dtype=dtype), transport)
-    ximats = np.tensordot(curve.xi, _BASES[curve.group], axes=(1, 0))
-    return replace(curve, x=xs, p=ps,
-                   xdot=np.einsum("kij,kjl->kil", xs, ximats))
+    return replace(curve, x=xs, p=ps)
 
 
 def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
@@ -507,9 +500,8 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
                 _line_point(group, x0), times,
                 "line solution escaped near t = {t:.6g}", extrapolate=True)
     xs = np.array([x for x, in ys], dtype=group.scalar_dtype)
-    xdot = polys[:, 0] + polys[:, 1] * xs + polys[:, 2] * xs * xs
     return Trajectory(group=group, times=times, xi=np.array(xi, copy=True),
-                      x=xs, xdot=xdot)
+                      x=xs)
 
 
 def closed_form_symmetric(group: GroupId, params: SymmetricSolutionParams, t):

@@ -331,6 +331,10 @@ def _parse_outputs(v):
         if os.path.isabs(path) or ".." in path.replace(os.sep, "/").split("/"):
             raise ScenarioError(f"outputs.{key}",
                                 "must be a relative path without '..'")
+    paths = {os.path.normpath(path) for path in v.values()}
+    if len(paths) < len(v):
+        raise ScenarioError("outputs.report_json",
+                            "must not name the trajectory_csv file")
     return dict(v)
 
 

@@ -231,9 +231,8 @@ def test_lifted_action_equals_plain_action(capsys):
     ok = all(e.passed for e in entries.values())
     _emit(capsys, ok, "action equality",
           "relative gap |S_lifted - S_plain| / (1 + |S_plain|): "
-          + ", ".join(f"{k} {e.max_residual:.1e}"
-                      for k, e in entries.items())
-          + " (gate 1e-8 each)")
+          + ", ".join(f"{k} {e.max_residual:.1e} (gate {e.tolerance:.0e})"
+                      for k, e in entries.items()))
     assert ok
 
 

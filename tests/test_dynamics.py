@@ -1,5 +1,7 @@
 """Reduced flows, reconstruction, extremals, closed forms, quadrature."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -32,6 +34,7 @@ from lsb_lab import (
     objective_value,
     quadrature,
     reconstruct_group,
+    riccati_coefficients,
 )
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
@@ -206,7 +209,10 @@ def test_manifold_lift_constant_control():
     exact = x0.matrix @ exp_map(xi).matrix
     npt.assert_allclose(ext.x[-1], exact, atol=1e-12)
     npt.assert_array_equal(ext.p, np.zeros_like(ext.p))
-    assert ext.pdot is None
+    # a trajectory stores what was integrated or transported, never the
+    # control field on its samples
+    assert [f.name for f in dataclasses.fields(ext)] == [
+        "group", "times", "xi", "g", "x", "p"]
 
 
 def test_manifold_lift_requires_control():
@@ -259,8 +265,6 @@ def _lift_gap(group, h):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ref.append(y)
     ref = np.array(ref)
-    mats = np.array([AlgebraElement(group, c).matrix() for c in lift.xi])
-    npt.assert_allclose(lift.xdot, lift.x @ mats, rtol=0, atol=1e-14)
     return max(np.abs(lift.x - ref[:, :d]).max(),
                np.abs(lift.p - ref[:, d:]).max())
 
@@ -293,9 +297,14 @@ def test_line_extremal_stores_feedback_and_rhs():
         xi = feedback_solve(GroupId.SL2R, B_ONE, (1.0, 1.0, 2.0),
                             ext.x[k], ext.p[k])
         npt.assert_array_equal(ext.xi[k], xi.coeffs)
+        # the stored feedback's control field is the closed loop's rhs
+        a, b, c = riccati_coefficients(GroupId.SL2R, xi, B_ONE)
         xd, pd = closed_loop_rhs(GroupId.SL2R, B_ONE, (1.0, 1.0, 2.0),
                                  ext.x[k], ext.p[k])
-        assert ext.xdot[k] == xd and ext.pdot[k] == pd
+        assert a * ext.x[k] ** 2 + b * ext.x[k] + c == pytest.approx(
+            xd, abs=1e-14)
+        assert -(2.0 * a * ext.x[k] + b) * ext.p[k] == pytest.approx(
+            pd, abs=1e-14)
 
 
 def test_line_extremal_divergence_reported():

@@ -205,25 +205,27 @@ def test_action_equality_on_rigid_lift():
     ext = lift_extremal(_rigid_curve(cfg), x0, p0)
     res = check_action_equality(J123, B_ONE, ext)
     assert res.passed
-    # the multiplier term vanishes identically on the stored lift
-    assert res.max_residual == 0.0
+    # the multiplier term pairs p with the measured x' - x xi: a nonzero
+    # O(h^2) gap inside the differential-residual tolerance
+    assert 0.0 < res.max_residual <= res.tolerance == 1e-5
 
 
 def test_action_equality_flags_uncontrolled_curves():
     cfg = IntegratorConfig("rk4", 1e-2, 0.5)
     ext = lift_extremal(_rigid_curve(cfg), group_identity(GroupId.SO3),
                         np.zeros((3, 3)))
-    broken = replace(ext, xdot=ext.xdot + 1.0)
+    broken = replace(ext, x=ext.x + 1.0)
     res = check_action_equality(J123, B_ONE, broken)
     assert not res.passed
     assert res.max_residual == np.inf
     assert "control" in res.details
 
 
-def _action_case(kind, group):
-    """An extremal whose stored velocity is scaled by 1 + 1e-6: the precheck
-    still passes and the lifted integrand's penalty is nonzero."""
-    cfg = IntegratorConfig("rk4", 1e-2, 0.5)
+def _action_case(kind, group, step=1e-2):
+    """A line extremal or a rigid lift on a coarse grid, where the lifted
+    integrand's penalty (the stencil's truncation error) is well above
+    roundoff."""
+    cfg = IntegratorConfig("rk4", step, 0.5)
     B = ConnectionCoefficients(np.array([1.1, 0.7, 1.3]))
     J = inertia_diagonal(group, 1.0, 2.0, 1.5)
     if kind == "line":
@@ -237,7 +239,7 @@ def _action_case(kind, group):
             p0 = p0 * (1.0 + 0.5j)
         curve = reconstruct_group(group, ep, group_identity(group))
         ext = lift_extremal(curve, group_identity(group), p0)
-    return J, B, replace(ext, xdot=ext.xdot * (1.0 + 1e-6))
+    return J, B, ext
 
 
 @pytest.mark.parametrize("kind,group", [
@@ -245,20 +247,33 @@ def _action_case(kind, group):
     ("line", GroupId.SL2R), ("line", GroupId.SU2), ("line", GroupId.SO21)])
 def test_action_equality_matches_per_sample_reference(kind, group):
     """The array integrands equal quadratic_cost and clebsch_lagrangian
-    evaluated sample by sample."""
+    evaluated sample by sample, with x' by central differences."""
     J, B, ext = _action_case(kind, group)
     space = moebius_line(group) if kind == "line" else group_manifold(group)
     xis = [AlgebraElement(group, c) for c in ext.xi]
+    xdots = central_difference(ext.times, ext.x)
     plain = quadrature(ext.times, np.array(
         [quadratic_cost(J, xi) for xi in xis], dtype=np.complex128))
     lifted = quadrature(ext.times, np.array(
         [clebsch_lagrangian(space, B, J, x, p, xd, xi)
-         for x, p, xd, xi in zip(ext.x, ext.p, ext.xdot, xis)],
+         for x, p, xd, xi in zip(ext.x, ext.p, xdots, xis)],
         dtype=np.complex128))
     reference = abs(lifted - plain) / (1.0 + abs(plain))
     res = check_action_equality(J, B, ext)
     assert reference > 1e-9
     assert res.max_residual == pytest.approx(reference, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind,group", [
+    ("manifold", GroupId.SO3), ("manifold", GroupId.SU2),
+    ("line", GroupId.SL2R), ("line", GroupId.SU2), ("line", GroupId.SO21)])
+def test_action_equality_gap_is_second_order(kind, group):
+    """The gap is the measured stencil error of the control equation:
+    halving the step shrinks it by about 4."""
+    coarse, fine = (check_action_equality(*_action_case(kind, group, h))
+                    for h in (1e-2, 5e-3))
+    assert coarse.passed and fine.passed
+    assert 3.5 < coarse.max_residual / fine.max_residual < 4.5
 
 
 def test_closed_form_gap_reported_honestly():
