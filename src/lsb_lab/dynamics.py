@@ -474,6 +474,13 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     (n+1, 3) array of control coefficients on the config grid.  All
     solutions share one time-dependent Riccati equation, so families
     produced by this routine admit the cross-ratio invariant.
+
+    ``x0`` is one start, giving x of shape (n+1,), or a sequence of m
+    starts, giving x of shape (n+1, m) with one column per start.  A family
+    marches as one state, each member with its own arithmetic, so every
+    column equals the march from its start alone.  The family stops at the
+    first step where any member leaves the finite range; the divergence
+    error reports that earliest escape.
     """
     if isinstance(xi_traj, Trajectory):
         if xi_traj.xi is None:
@@ -492,16 +499,17 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     mids = (0.5 * (polys[:-1] + polys[1:])).tolist()
 
     def field(y, c):
-        x, = y
-        return [c[0] + c[1] * x + c[2] * x * x]
+        c0, c1, c2 = c
+        return [c0 + c1 * x + c2 * x * x for x in y]
 
+    family = np.ndim(x0) == 1
     step = _stepper(cfg.method, field, cfg.step)
     ys = _march(lambda k, y: step(y, ends[k], mids[k], ends[k + 1]),
-                _line_point(group, x0), times,
+                _line_point(group, *(x0 if family else [x0])), times,
                 "line solution escaped near t = {t:.6g}", extrapolate=True)
-    xs = np.array([x for x, in ys], dtype=group.scalar_dtype)
+    xs = np.array(ys, dtype=group.scalar_dtype)
     return Trajectory(group=group, times=times, xi=np.array(xi, copy=True),
-                      x=xs)
+                      x=xs if family else xs[:, 0])
 
 
 def closed_form_symmetric(group: GroupId, params: SymmetricSolutionParams, t):

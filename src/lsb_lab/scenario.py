@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -184,21 +185,29 @@ def _require_object(v, path):
         raise ScenarioError(path, "must be an object")
 
 
+def _finite_float(v, path):
+    # JSON integers are unbounded: one beyond float range overflows
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ScenarioError(path, "must be finite") from None
+    if not np.isfinite(x):
+        raise ScenarioError(path, "must be finite")
+    return x
+
+
 def _parse_number(v, path, allow_complex):
     if isinstance(v, bool):
         raise ScenarioError(path, "must be a number")
     if isinstance(v, (int, float)):
-        if not np.isfinite(v):
-            raise ScenarioError(path, "must be finite")
-        return float(v)
+        return _finite_float(v, path)
     if (isinstance(v, list) and len(v) == 2
             and all(isinstance(c, (int, float)) and not isinstance(c, bool)
                     for c in v)):
-        if not all(np.isfinite(c) for c in v):
-            raise ScenarioError(path, "must be finite")
+        re, im = (_finite_float(c, path) for c in v)
         if not allow_complex:
             raise ScenarioError(path, "must be a real number")
-        return complex(v[0], v[1])
+        return complex(re, im)
     want = "a number or [re, im]" if allow_complex else "a real number"
     raise ScenarioError(path, f"must be {want}")
 
@@ -538,11 +547,10 @@ def _manifold_action_equality(scn):
 
 
 def _cross_ratio(scn):
-    xi = scn.line_extremal.xi
-    return (check_cross_ratio(
-        [integrate_riccati(scn.group, scn.connection, xi,
-                           scn.initial["x0"] + d, scn.config)
-         for d in CROSS_RATIO_OFFSETS]),)
+    family = integrate_riccati(
+        scn.group, scn.connection, scn.line_extremal.xi,
+        [scn.initial["x0"] + d for d in CROSS_RATIO_OFFSETS], scn.config)
+    return (check_cross_ratio([replace(family, x=x) for x in family.x.T]),)
 
 
 def _line_action_equality(scn):

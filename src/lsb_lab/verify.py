@@ -18,9 +18,9 @@ from .actions import (
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
+    _line_loop,
+    _line_point,
     closed_form_symmetric,
-    closed_loop_rhs,
-    feedback_solve,
     integrate_euler_poincare,
     quadrature,
 )
@@ -364,14 +364,16 @@ def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
                             I_coeffs=(1.0, 2.0, 1.5), n_points=100, seed=7):
     """Audit the substituted closed loop for internal consistency.
 
-    Composes the stationarity solve with the coefficient map at sampled
-    (x, p) points and compares against an independently hand-expanded
-    polynomial form of the same substitution; the two must agree to near
-    machine precision.  The entry's details record where the
-    self-consistent system departs from the printed substituted display
-    (coefficient pairing on the quartic term and the cubic costate term)
-    together with the measured departure on the sample set, and the
-    analogous denominator discrepancy in the printed reduced equations.
+    Builds the closed loop once (the feedback and field closures behind
+    feedback_solve and closed_loop_rhs), composes its stationarity solve
+    with the coefficient map at sampled (x, p) points and compares against
+    its field and against an independently hand-expanded polynomial form
+    of the same substitution; all must agree to near machine precision.
+    The entry's details record where the self-consistent system departs
+    from the printed substituted display (coefficient pairing on the
+    quartic term and the cubic costate term) together with the measured
+    departure on the sample set, and the analogous denominator
+    discrepancy in the printed reduced equations.
     The audit passes on self-consistency; the departures are findings,
     not failures.
     """
@@ -383,12 +385,14 @@ def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
     pts = rng.uniform(-2.0, 2.0, size=(n_points, 2))
     pts = pts[np.abs(pts[:, 1]) > 1e-3]  # keep p away from the fixed line
 
+    control, field = _line_loop(group, B, I_coeffs)
     self_res = 0.0
     depart_x = 0.0
     depart_p = 0.0
     for x, p in pts:
-        xd_direct, pd_direct = closed_loop_rhs(group, B, I_coeffs, x, p)
-        fb = feedback_solve(group, B, I_coeffs, x, p)
+        point = _line_point(group, x, p)
+        xd_direct, pd_direct = field(point)
+        fb = AlgebraElement(group, control(*point))
         a, b, c = riccati_coefficients(group, fb, B)
         xd_comp = a * x * x + b * x + c
         pd_comp = -(2.0 * a * x + b) * p

@@ -362,6 +362,49 @@ def test_driven_line_flow_grid_checked():
         integrate_riccati(GroupId.SL2R, B_ONE, carrier, 1.0, cfg)
 
 
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("gid,starts", [
+    (GroupId.SL2R, [0.3, 0.7, -0.1, 1.2]),
+    (GroupId.SU2, [0.3 + 0.1j, 0.7, -0.1 - 0.2j, 1.2j]),
+    (GroupId.SO21, [0.3 + 0.1j, 0.7, -0.1 - 0.2j, 0.5j]),
+])
+def test_driven_line_family_columns_equal_single_marches(gid, starts,
+                                                         method):
+    # one march carries the four starts; each member keeps its own
+    # arithmetic, so each column is its single-start march bit for bit
+    cfg = IntegratorConfig(method, 1e-2, 1.0)
+    t = cfg.times()
+    xi = np.stack([0.3 * np.cos(2.0 * t), 0.2 + 0.1 * t,
+                   0.4 * np.sin(3.0 * t)], axis=1).astype(gid.scalar_dtype)
+    B = ConnectionCoefficients((1.1, 0.7, 1.3))
+    family = integrate_riccati(gid, B, xi, starts, cfg)
+    assert family.x.shape == (t.size, 4)
+    for column, x0 in zip(family.x.T, starts):
+        assert np.array_equal(column, integrate_riccati(gid, B, xi, x0,
+                                                        cfg).x)
+
+
+def test_driven_line_family_reports_earliest_escape():
+    # field x^2: x(t) = x0 / (1 - x0 t) has its pole at t = 1 / x0, so the
+    # start 2.0 escapes near 0.5, before the first-listed 1.25 near 0.8;
+    # 0.5 and -1.0 stay finite over the horizon
+    cfg = IntegratorConfig("rk4", 1e-3, 1.0)
+    xi = np.tile([0.0, -1.0, 0.0], (cfg.n_steps + 1, 1))
+
+    def escape(x0):
+        with pytest.raises(DivergenceError) as info:
+            integrate_riccati(GroupId.SL2R, B_ONE, xi, x0, cfg)
+        return info.value.escape_time, info.value.last_index
+
+    family = escape([1.25, 0.5, 2.0, -1.0])
+    assert family == escape(2.0)
+    assert family[0] == pytest.approx(0.5, abs=2e-3)
+    first_listed = escape(1.25)
+    assert first_listed[0] == pytest.approx(0.8, abs=2e-3)
+    assert family[0] != first_listed[0]
+    assert family[1] != first_listed[1]
+
+
 def test_feedback_solve_pinned_values():
     xi = feedback_solve(GroupId.SL2R, B_ONE, (1.0, 1.0, 2.0), 0.5, -1.0)
     npt.assert_allclose(xi.coeffs, [-1.0, 0.25, -0.5], rtol=1e-15)

@@ -112,6 +112,24 @@ def test_scenario_error_names_field(patch, field):
     assert _field_of(info) == field
 
 
+HUGE = 10 ** 400  # a valid JSON integer beyond float range
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: _rigid(horizon=HUGE), "horizon"),
+    (lambda: _riccati(initial={"x0": HUGE, "p0": 1.0}), "initial.x0"),
+    (lambda: _riccati(group="su2", initial={"x0": [0.5, HUGE],
+                                            "p0": [1.0, 0.0]}),
+     "initial.x0"),
+    (lambda: _rigid(inertia={"diag": [HUGE, 2.0, 3.0]}),
+     "inertia.diag[0]"),
+], ids=["horizon", "x0", "x0-imaginary-part", "inertia-diag"])
+def test_scenario_huge_integer_is_not_finite(make, field):
+    with pytest.raises(ScenarioError) as info:
+        Scenario(make())
+    assert str(info.value) == f"{field}: must be finite"
+
+
 def test_scenario_initial_validation():
     with pytest.raises(ScenarioError) as info:
         Scenario(_rigid(initial={"x0": np.eye(3).tolist()}))
@@ -489,6 +507,9 @@ def test_cli_verify_integrates_each_trajectory_once(tmp_path, monkeypatch,
     # lifted extremal, equivalence_rigid and action_equality
     assert calls["reconstruct_group"] == reduced
     assert calls["integrate_extremal"] == extremal
+    # the cross-ratio family's four members march as one state
+    family = int("cross_ratio" in load_raw(path)["checks"])
+    assert calls["integrate_riccati"] == family
 
 
 def test_diverged_line_extremal_is_integrated_once(tmp_path, monkeypatch,
