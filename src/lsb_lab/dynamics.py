@@ -211,59 +211,120 @@ def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
     return inertia_solve(J, rhs)
 
 
-# The integrators below step states held as lists of Python scalars (or of
-# arrays, for the linear flows): at three components, scalar arithmetic costs
-# a few microseconds per step where small numpy arrays cost tens.
+# Each flow has its own step, an advance(k, y) for _march with an explicit
+# Euler and a classical RK4 branch.  A step unpacks the state into local
+# Python scalars and hands them to a field that takes the scalars as
+# arguments, so a stage builds no list and runs no loop: at two or three
+# components, scalar arithmetic costs a few microseconds per step where
+# small numpy arrays or per-stage lists cost tens.
 
-def _stepper(method: str, f, h: float):
-    """One explicit Euler or classical RK4 step of y' = f(y, c).
-
-    The returned step(y, c0, cm, c1) works componentwise on a list y of
-    scalars or arrays.  Time enters only through sampled data c: c0 at the
-    left end of the step, cm at its midpoint and c1 at its right end
-    (autonomous flows leave them None).
-    """
+def _euler_poincare_step(method: str, f, h: float):
+    # xi' = f(xi_0, xi_1, xi_2), autonomous
     h2, h6 = h / 2.0, h / 6.0
+    if method == "euler":
+        def step(k, y):
+            v0, v1, v2 = y
+            a0, a1, a2 = f(v0, v1, v2)
+            return v0 + h * a0, v1 + h * a1, v2 + h * a2
+        return step
 
-    def step(y, c0=None, cm=None, c1=None):
-        k1 = f(y, c0)
-        if method == "euler":
-            return [u + h * v for u, v in zip(y, k1)]
-        k2 = f([u + h2 * v for u, v in zip(y, k1)], cm)
-        k3 = f([u + h2 * v for u, v in zip(y, k2)], cm)
-        k4 = f([u + h * v for u, v in zip(y, k3)], c1)
-        return [u + h6 * (a + 2.0 * b + 2.0 * c + d)
-                for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    def step(k, y):
+        v0, v1, v2 = y
+        a0, a1, a2 = f(v0, v1, v2)
+        b0, b1, b2 = f(v0 + h2 * a0, v1 + h2 * a1, v2 + h2 * a2)
+        c0, c1, c2 = f(v0 + h2 * b0, v1 + h2 * b1, v2 + h2 * b2)
+        d0, d1, d2 = f(v0 + h * c0, v1 + h * c1, v2 + h * c2)
+        return (v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                v2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+    return step
+
+
+def _line_step(method: str, f, h: float):
+    # (x, p)' = f(x, p), autonomous
+    h2, h6 = h / 2.0, h / 6.0
+    if method == "euler":
+        def step(k, y):
+            x, p = y
+            ax, ap = f(x, p)
+            return x + h * ax, p + h * ap
+        return step
+
+    def step(k, y):
+        x, p = y
+        ax, ap = f(x, p)
+        bx, bp = f(x + h2 * ax, p + h2 * ap)
+        cx, cp = f(x + h2 * bx, p + h2 * bp)
+        dx, dp = f(x + h * cx, p + h * cp)
+        return (x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx),
+                p + h6 * (ap + 2.0 * bp + 2.0 * cp + dp))
+    return step
+
+
+def _riccati_step(method: str, ends: list, mids: list, h: float):
+    """Each member x of the family state steps x' = c0 + c1 x + c2 x^2 on
+    its own, through all its stages in turn.  The coefficients (c0, c1, c2)
+    are sampled: ends[k] at the left end of step k, mids[k] at its midpoint
+    and ends[k + 1] at its right end."""
+    h2, h6 = h / 2.0, h / 6.0
+    if method == "euler":
+        def step(k, y):
+            a0, a1, a2 = ends[k]
+            return [x + h * (a0 + a1 * x + a2 * x * x) for x in y]
+        return step
+
+    def step(k, y):
+        a0, a1, a2 = ends[k]
+        m0, m1, m2 = mids[k]
+        b0, b1, b2 = ends[k + 1]
+        out = []
+        for x in y:
+            s1 = a0 + a1 * x + a2 * x * x
+            z = x + h2 * s1
+            s2 = m0 + m1 * z + m2 * z * z
+            z = x + h2 * s2
+            s3 = m0 + m1 * z + m2 * z * z
+            z = x + h * s3
+            s4 = b0 + b1 * z + b2 * z * z
+            out.append(x + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4))
+        return out
     return step
 
 
 def _modulus(v) -> float:
-    # largest modulus of a scalar or array; NaN propagates (math.hypot
-    # saturates to inf where abs() of a huge complex would raise)
-    if isinstance(v, np.ndarray):
-        return np.abs(v).max()
+    # modulus of a scalar; NaN propagates (math.hypot saturates to inf where
+    # abs() of a huge complex would raise)
     return math.hypot(v.real, v.imag)
 
 
-def _march(advance, y0: list, times: np.ndarray, message: str,
+def _march(advance, y0, times: np.ndarray, message: str,
            extrapolate: bool = False) -> list:
     """The states y0, ..., y_n of y_{k+1} = advance(k, y_k) on the grid.
 
-    Every new state is guarded: the first one holding a value that is not
-    finite or whose modulus exceeds DIVERGENCE_CAP stops the march with a
-    DivergenceError that carries the finite states y0, ..., y_k.  Its
-    message is formatted with the escape time t and the last finite sample
-    time last.  The escape time is t_{k+1}, or with extrapolate the
-    reciprocal extrapolation from step k (near a simple pole 1/|y| decays
-    linearly).
+    A state is a sequence of Python scalars, and every new one is guarded
+    component by component: abs(v) <= DIVERGENCE_CAP, with an OverflowError
+    (abs() of a complex whose modulus is beyond float range) counted as out
+    of range and a NaN failing the comparison.  Complex abs() is hypot, so
+    the guard is |v| <= DIVERGENCE_CAP.  The first state that fails stops
+    the march with a DivergenceError that carries the finite states y0, ...,
+    y_k.  Its message is formatted with the escape time t and the last
+    finite sample time last.  The escape time is t_{k+1}, or with
+    extrapolate the reciprocal extrapolation from step k (near a simple pole
+    1/|y| decays linearly).
     """
     ys = [y0]
     for k in range(times.size - 1):
         y = ys[-1]
         nxt = advance(k, y)
-        if all(_modulus(v) <= DIVERGENCE_CAP for v in nxt):
-            ys.append(nxt)
-            continue
+        try:
+            for v in nxt:
+                if not abs(v) <= DIVERGENCE_CAP:
+                    break
+            else:
+                ys.append(nxt)
+                continue
+        except OverflowError:
+            pass
         mags = [_modulus(v) for v in nxt]
         prev_mag = max(_modulus(v) for v in y)
         new_mag = max(mags) if all(map(math.isfinite, mags)) else math.inf
@@ -290,16 +351,23 @@ def _euler_poincare_field(group: GroupId, J: InertiaOperator):
         CJ = np.einsum("abe,bd->ead", C, J3)  # [xi*, J xi]
     else:
         CJ = np.einsum("ad,abe->edb", J3, C)  # [J xi, xi]
-    T = np.linalg.solve(J3, CJ.reshape(3, 9)).tolist()
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), \
+        (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8) = \
+        np.linalg.solve(J3, CJ.reshape(3, 9)).tolist()
 
-    def field(y, _):
-        v0, v1, v2 = y
+    def field(v0, v1, v2):
         u0, u1, u2 = (-v0.conjugate(), v1.conjugate(), v2.conjugate()) \
-            if starred else y
-        return [u0 * (a0 * v0 + a1 * v1 + a2 * v2)
-                + u1 * (b0 * v0 + b1 * v1 + b2 * v2)
-                + u2 * (c0 * v0 + c1 * v1 + c2 * v2)
-                for a0, a1, a2, b0, b1, b2, c0, c1, c2 in T]
+            if starred else (v0, v1, v2)
+        return (u0 * (a0 * v0 + a1 * v1 + a2 * v2)
+                + u1 * (a3 * v0 + a4 * v1 + a5 * v2)
+                + u2 * (a6 * v0 + a7 * v1 + a8 * v2),
+                u0 * (b0 * v0 + b1 * v1 + b2 * v2)
+                + u1 * (b3 * v0 + b4 * v1 + b5 * v2)
+                + u2 * (b6 * v0 + b7 * v1 + b8 * v2),
+                u0 * (c0 * v0 + c1 * v1 + c2 * v2)
+                + u1 * (c3 * v0 + c4 * v1 + c5 * v2)
+                + u2 * (c6 * v0 + c7 * v1 + c8 * v2))
     return field
 
 
@@ -312,8 +380,9 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
     if J.group is not group:
         raise DomainError("group mismatch in reduced dynamics")
     times = cfg.times()
-    step = _stepper(cfg.method, _euler_poincare_field(group, J), cfg.step)
-    ys = _march(lambda k, y: step(y), xi0.coeffs.tolist(), times,
+    step = _euler_poincare_step(cfg.method, _euler_poincare_field(group, J),
+                                cfg.step)
+    ys = _march(step, xi0.coeffs.tolist(), times,
                 "body velocity left the finite range near t = {t:.6g}")
     return Trajectory(group=group, times=times,
                       xi=np.array(ys, dtype=group.scalar_dtype))
@@ -329,8 +398,12 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
     steps' exponentials evaluated at once by the closed forms of
     `groups.exp_matrices` (Rodrigues on so3, cosh/sinh on the 2x2 groups),
     then multiplied in sequence; every factor lies on the group to roundoff,
-    so the constraint holds to machine accuracy over long runs.  Returns
-    the trajectory with the g field filled in.
+    so the constraint holds to machine accuracy over long runs.  The whole
+    product is guarded once, as _march guards a state: at the first sample
+    g_{k+1} holding an entry that is not finite or whose modulus exceeds
+    DIVERGENCE_CAP, a DivergenceError reports the escape time t_{k+1} and
+    carries g_0, ..., g_k.  Returns the trajectory with the g field filled
+    in.
     """
     if xi_traj.xi is None:
         raise DomainError("reconstruction needs body-velocity samples")
@@ -341,11 +414,20 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
     xi = xi_traj.xi
     mid = 0.5 * (xi[:-1] + xi[1:])
     steps = exp_matrices(group, xi_traj.step * mid)
-    gs = _march(lambda k, y: [y[0] @ steps[k]],
-                [g0.matrix], xi_traj.times,
-                "group element left the finite range near t = {t:.6g}")
-    return replace(xi_traj,
-                   g=np.array([g for g, in gs], dtype=group.scalar_dtype))
+    gs = np.concatenate([g0.matrix[None], steps])  # g_0, then room for g_k
+    # past the first sample out of range the product runs on in inf/NaN;
+    # those values are never returned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(steps):
+            np.matmul(gs[k], step, out=gs[k + 1])
+        bad = ~(np.abs(gs[1:]) <= DIVERGENCE_CAP).all(axis=(1, 2))
+    if bad.any():
+        k = int(bad.argmax())
+        t = xi_traj.times[k + 1]
+        raise DivergenceError(
+            f"group element left the finite range near t = {t:.6g}",
+            escape_time=float(t), last_index=k, states=list(gs[:k + 1]))
+    return replace(xi_traj, g=np.asarray(gs, dtype=group.scalar_dtype))
 
 
 def _diag_coeffs(I_coeffs) -> np.ndarray:
@@ -371,7 +453,7 @@ def _line_loop(group: GroupId, B: ConnectionCoefficients, I_coeffs):
     formulas on Python scalars.
 
     With generators X_a(x) and the quartic Q(x) = sum_a X_a(x)^2 / I_a,
-    control(x, p) is the feedback xi_a = p X_a(x) / I_a, and field([x, p])
+    control(x, p) is the feedback xi_a = p X_a(x) / I_a, and field(x, p)
     is the Hamiltonian flow of H = p^2 Q(x) / 2: xdot = p Q(x) and
     pdot = -p^2 Q'(x) / 2.
     """
@@ -386,11 +468,10 @@ def _line_loop(group: GroupId, B: ConnectionCoefficients, I_coeffs):
     def control(x, p):
         return [p * (c0 + x * (c1 + x * c2)) for c0, c1, c2 in gens]
 
-    def field(y, _=None):
-        x, p = y
+    def field(x, p):
         Q = q0 + x * (q1 + x * (q2 + x * (q3 + x * q4)))
         dQ = q1 + x * (d1 + x * (d2 + x * d3))
-        return [p * Q, -0.5 * p * p * dQ]
+        return p * Q, -0.5 * p * p * dQ
     return control, field
 
 
@@ -415,7 +496,7 @@ def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients, I_coeffs,
     xdot = p Q(x), pdot = -p^2 Q'(x) / 2 with Q(x) = sum_a X_a(x)^2 / I_a.
     """
     _, field = _line_loop(group, B, I_coeffs)
-    return tuple(field(_line_point(group, x, p)))
+    return field(*_line_point(group, x, p))
 
 
 def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
@@ -436,8 +517,8 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
     times = cfg.times()
     dtype = group.scalar_dtype
     control, field = _line_loop(group, B, J)
-    step = _stepper(cfg.method, field, cfg.step)
-    ys = _march(lambda k, y: step(y), _line_point(group, x0, p0), times,
+    ys = _march(_line_step(cfg.method, field, cfg.step),
+                _line_point(group, x0, p0), times,
                 "extremal escaped near t = {t:.6g} (last finite sample "
                 "at t = {last:.6g})", extrapolate=True)
     xs, ps = np.array(ys, dtype=dtype).T
@@ -497,14 +578,8 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     polys = xi @ line_generator_polynomials(group, B)  # rows (c0, c1, c2)
     ends = polys.tolist()
     mids = (0.5 * (polys[:-1] + polys[1:])).tolist()
-
-    def field(y, c):
-        c0, c1, c2 = c
-        return [c0 + c1 * x + c2 * x * x for x in y]
-
     family = np.ndim(x0) == 1
-    step = _stepper(cfg.method, field, cfg.step)
-    ys = _march(lambda k, y: step(y, ends[k], mids[k], ends[k + 1]),
+    ys = _march(_riccati_step(cfg.method, ends, mids, cfg.step),
                 _line_point(group, *(x0 if family else [x0])), times,
                 "line solution escaped near t = {t:.6g}", extrapolate=True)
     xs = np.array(ys, dtype=group.scalar_dtype)

@@ -391,7 +391,7 @@ def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
     depart_p = 0.0
     for x, p in pts:
         point = _line_point(group, x, p)
-        xd_direct, pd_direct = field(point)
+        xd_direct, pd_direct = field(*point)
         fb = AlgebraElement(group, control(*point))
         a, b, c = riccati_coefficients(group, fb, B)
         xd_comp = a * x * x + b * x + c

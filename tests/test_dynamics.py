@@ -1,6 +1,7 @@
 """Reduced flows, reconstruction, extremals, closed forms, quadrature."""
 
 import dataclasses
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -36,6 +37,7 @@ from lsb_lab import (
     reconstruct_group,
     riccati_coefficients,
 )
+from lsb_lab.dynamics import DIVERGENCE_CAP, _march, _modulus
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
 
@@ -109,24 +111,46 @@ def _reference_rk4(f, y0, h, n):
     return np.array(ys)
 
 
-@pytest.mark.parametrize("group,xi0", [
+def _reference_euler(f, y0, h, n):
+    # textbook explicit Euler on numpy arrays
+    ys = [np.asarray(y0)]
+    for _ in range(n):
+        ys.append(ys[-1] + h * f(ys[-1]))
+    return np.array(ys)
+
+
+REFERENCES = {"rk4": _reference_rk4, "euler": _reference_euler}
+EP_CASES = [
     (GroupId.SO3, [0.8, 0.3, -0.4]),
     (GroupId.SU2, [0.6, -0.2, 0.5]),
     (GroupId.SL2R, [0.3, -0.5, 0.4]),
     (GroupId.SO21, [0.4 + 0.1j, -0.3, 0.2 - 0.2j]),  # starred variant
-])
-def test_euler_poincare_matches_reference_rk4(group, xi0):
-    """The closed-form core agrees with RK4 stepped through the public
-    per-point euler_poincare_rhs, for a dense (non-diagonal) inertia."""
+]
+
+
+def _euler_poincare_reference_gap(method, group, xi0):
+    """Relative sup gap between the closed-form core and the method stepped
+    through the public per-point euler_poincare_rhs, for a dense
+    (non-diagonal) inertia."""
     J = InertiaOperator(group, [[2.0, 0.3, 0.1],
                                 [0.3, 1.5, -0.2],
                                 [0.1, -0.2, 1.0]])
-    cfg = IntegratorConfig("rk4", 0.01, 1.0)
+    cfg = IntegratorConfig(method, 0.01, 1.0)
     tr = integrate_euler_poincare(group, J, AlgebraElement(group, xi0), cfg)
-    ref = _reference_rk4(
+    ref = REFERENCES[method](
         lambda c: euler_poincare_rhs(group, J, AlgebraElement(group, c)).coeffs,
         np.asarray(xi0, dtype=group.scalar_dtype), cfg.step, cfg.n_steps)
-    assert np.abs(tr.xi - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    return np.abs(tr.xi - ref).max() / max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("group,xi0", EP_CASES)
+def test_euler_poincare_matches_reference_rk4(group, xi0):
+    assert _euler_poincare_reference_gap("rk4", group, xi0) <= 1e-13
+
+
+@pytest.mark.parametrize("group,xi0", EP_CASES)
+def test_euler_poincare_matches_reference_euler(group, xi0):
+    assert _euler_poincare_reference_gap("euler", group, xi0) <= 1e-13
 
 
 LINE_CASES = [
@@ -138,16 +162,25 @@ LINE_B = ConnectionCoefficients(np.array([1.1, 0.7, 1.3]))
 LINE_I = (1.0, 2.0, 1.5)
 
 
-@pytest.mark.parametrize("group,x0,p0", LINE_CASES)
-def test_line_extremal_matches_reference_rk4(group, x0, p0):
-    cfg = IntegratorConfig("rk4", 0.01, 1.0)
+def _line_extremal_reference_gap(method, group, x0, p0):
+    # relative sup gap to the method stepped through closed_loop_rhs
+    cfg = IntegratorConfig(method, 0.01, 1.0)
     ext = integrate_extremal(moebius_line(group), LINE_B, LINE_I, x0, p0, cfg)
-    ref = _reference_rk4(
+    ref = REFERENCES[method](
         lambda y: np.array(closed_loop_rhs(group, LINE_B, LINE_I, *y)),
         np.array([x0, p0], dtype=group.scalar_dtype), cfg.step, cfg.n_steps)
-    scale = max(1.0, np.abs(ref).max())
-    assert np.abs(ext.x - ref[:, 0]).max() <= 1e-13 * scale
-    assert np.abs(ext.p - ref[:, 1]).max() <= 1e-13 * scale
+    return max(np.abs(ext.x - ref[:, 0]).max(),
+               np.abs(ext.p - ref[:, 1]).max()) / max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("group,x0,p0", LINE_CASES)
+def test_line_extremal_matches_reference_rk4(group, x0, p0):
+    assert _line_extremal_reference_gap("rk4", group, x0, p0) <= 1e-13
+
+
+@pytest.mark.parametrize("group,x0,p0", LINE_CASES)
+def test_line_extremal_matches_reference_euler(group, x0, p0):
+    assert _line_extremal_reference_gap("euler", group, x0, p0) <= 1e-13
 
 
 @pytest.mark.parametrize("group,x0,p0", LINE_CASES)
@@ -193,6 +226,28 @@ def test_reconstruction_input_checks():
     no_xi = Trajectory(group=GroupId.SO3, times=times)
     with pytest.raises(DomainError):
         reconstruct_group(GroupId.SO3, no_xi, group_identity(GroupId.SO3))
+
+
+@pytest.mark.parametrize("rate,escape,last", [(3.0, 6.15, 614),
+                                              (300.0, 0.07, 6)])
+def test_reconstruction_divergence_reported(rate, escape, last):
+    # the constant control rate * E_2 on sl2r makes g(t) = exp(t rate E_2)
+    # grow like e^{rate t}; the product is guarded once, after it has run
+    # on past the first out-of-range sample in inf/NaN, and raises without
+    # a numpy warning (tier-1 runs -W error)
+    cfg = IntegratorConfig("rk4", 1e-2, 40.0)
+    flat = Trajectory(group=GroupId.SL2R, times=cfg.times(),
+                      xi=np.tile([0.0, 0.0, rate], (cfg.n_steps + 1, 1)))
+    with pytest.raises(DivergenceError) as info:
+        reconstruct_group(GroupId.SL2R, flat, group_identity(GroupId.SL2R))
+    err = info.value
+    assert str(err) == ("group element left the finite range near "
+                        f"t = {escape:g}")
+    assert err.escape_time == pytest.approx(escape, rel=1e-12)
+    assert err.last_index == last
+    assert len(err.states) == last + 1
+    npt.assert_array_equal(err.states[0], np.eye(2))
+    assert np.abs(err.states[-1]).max() <= DIVERGENCE_CAP
 
 
 def test_manifold_lift_constant_control():
@@ -329,6 +384,54 @@ def test_line_extremal_rk4_divergence_reported():
     assert err.escape_time == pytest.approx(0.83, rel=1e-12)
     assert err.last_index == 82
     assert "(last finite sample at t = 0.82)" in str(err)
+
+
+def _expected_escape(y, nxt, t_prev, t, extrapolate):
+    # the escape time from the per-component modulus of the states
+    # either side of the failing step
+    mags = [_modulus(v) for v in nxt]
+    prev_mag = max(_modulus(v) for v in y)
+    new_mag = max(mags) if all(map(math.isfinite, mags)) else math.inf
+    if extrapolate and prev_mag < new_mag < math.inf:
+        return t + (1.0 / new_mag) / ((1.0 / prev_mag - 1.0 / new_mag)
+                                      / (t - t_prev))
+    return t
+
+
+@pytest.mark.parametrize("extrapolate", [False, True])
+@pytest.mark.parametrize("bad", [
+    complex(1.5e308, 1.5e308),  # finite parts, modulus beyond float range
+    math.nan,
+    math.nextafter(DIVERGENCE_CAP, math.inf),
+    -1j * math.nextafter(DIVERGENCE_CAP, math.inf),
+])
+def test_march_guard_stops_on_out_of_range_component(bad, extrapolate):
+    # a hand-made advance doubles the first component until step 3 puts
+    # bad in the second; the march must stop there with a DivergenceError
+    times = np.arange(8) * 0.25
+
+    def advance(k, y):
+        return [2.0 * y[0], bad if k == 3 else y[1] + 1j]
+
+    with pytest.raises(DivergenceError) as info:
+        _march(advance, [1.0, 0.5j], times, "escaped near t = {t:.6g}",
+               extrapolate=extrapolate)
+    err = info.value
+    assert err.last_index == 3
+    assert err.states == [[1.0, 0.5j], [2.0, 1.5j], [4.0, 2.5j],
+                          [8.0, 3.5j]]
+    expected = _expected_escape([8.0, 3.5j], [16.0, bad], times[3],
+                                times[4], extrapolate)
+    assert err.escape_time == expected
+    assert str(err) == f"escaped near t = {expected:.6g}"
+
+
+def test_march_guard_keeps_values_at_the_cap():
+    times = np.arange(4) * 0.5
+    cap = DIVERGENCE_CAP
+    ys = _march(lambda k, y: [-cap, 1j * cap, complex(0.6 * cap, 0.8 * cap)],
+                [0.0, 0.0, 0.0], times, "escaped near t = {t:.6g}")
+    assert len(ys) == times.size
 
 
 def test_driven_line_flow_exact_solution():
