@@ -216,7 +216,12 @@ def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
 # Python scalars and hands them to a field that takes the scalars as
 # arguments, so a stage builds no list and runs no loop: at two or three
 # components, scalar arithmetic costs a few microseconds per step where
-# small numpy arrays or per-stage lists cost tens.
+# small numpy arrays or per-stage lists cost tens.  The scalars are complex
+# only where the state is: the line on sl2r and a real start of the
+# reduced flow march on floats (integrate_euler_poincare says why that is
+# exact).  The reduced field is the six-product Euler form for a diagonal
+# inertia on so3/su2 and the dense 27-term form otherwise
+# (_euler_poincare_field).
 
 def _euler_poincare_step(method: str, f, h: float):
     # xi' = f(xi_0, xi_1, xi_2), autonomous
@@ -338,12 +343,28 @@ def _march(advance, y0, times: np.ndarray, message: str,
     return ys
 
 
+# T's entries (row c, column 3a + b) outside the Euler pattern c, a, b
+# distinct: (0,1,2), (0,2,1), (1,0,2), (1,2,0), (2,0,1), (2,1,0)
+_NON_EULER = np.ones((3, 9), dtype=bool)
+_NON_EULER[[0, 0, 1, 1, 2, 2], [5, 7, 2, 6, 1, 3]] = False
+
+
 def _euler_poincare_field(group: GroupId, J: InertiaOperator):
     """euler_poincare_rhs as a closed formula on Python scalars.
 
     The reduced field is bilinear, rhs_c = sum_ab T[c, a, b] u_a xi_b, with
     u = xi (the starred xi on so21) and T = J^-1 C J built once from the
     structure constants C.
+
+    Two closures serve it.  When the field is not starred and T vanishes
+    exactly outside the six entries T[c, a, b] with c, a, b distinct, as it
+    does for every diagonal J on so3 and su2, the field is the classical
+    Euler form: rhs_0 = xi_1 (T[0,1,2] xi_2) + xi_2 (T[0,2,1] xi_1) and its
+    cyclic companions.  Those are the dense formula's own nonzero products,
+    summed in its order, so both closures agree bit for bit (the dense
+    one's exact-zero terms only add signed zeros).  Every other field
+    (sl2r, starred so21, a non-diagonal J) takes the dense closure over all
+    27 entries.
     """
     J3, C = J.matrix3, _STRUCTURE[group]
     starred = group is GroupId.SO21
@@ -351,10 +372,17 @@ def _euler_poincare_field(group: GroupId, J: InertiaOperator):
         CJ = np.einsum("abe,bd->ead", C, J3)  # [xi*, J xi]
     else:
         CJ = np.einsum("ad,abe->edb", J3, C)  # [J xi, xi]
+    T = np.linalg.solve(J3, CJ.reshape(3, 9))
     (a0, a1, a2, a3, a4, a5, a6, a7, a8), \
         (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
-        (c0, c1, c2, c3, c4, c5, c6, c7, c8) = \
-        np.linalg.solve(J3, CJ.reshape(3, 9)).tolist()
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8) = T.tolist()
+
+    if not starred and not T[_NON_EULER].any():
+        def euler(v0, v1, v2):
+            return (v1 * (a5 * v2) + v2 * (a7 * v1),
+                    v0 * (b2 * v2) + v2 * (b6 * v0),
+                    v0 * (c1 * v1) + v1 * (c3 * v0))
+        return euler
 
     def field(v0, v1, v2):
         u0, u1, u2 = (-v0.conjugate(), v1.conjugate(), v2.conjugate()) \
@@ -382,7 +410,17 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
     times = cfg.times()
     step = _euler_poincare_step(cfg.method, _euler_poincare_field(group, J),
                                 cfg.step)
-    ys = _march(step, xi0.coeffs.tolist(), times,
+    # A real start stays real on every group (T is real, and conjugation
+    # fixes a real number), so it marches on floats, at about a third of
+    # the cost.  The real parts of the complex march see the same products
+    # and sums, so the samples agree bit for bit; only the sign of an exact
+    # zero can differ between the two arithmetics, and it reaches a sample
+    # only from a negative-zero start, which keeps the complex march.
+    coeffs = xi0.coeffs
+    parts = np.array([coeffs.real, coeffs.imag])
+    if not parts[1].any() and not np.signbit(parts[parts == 0]).any():
+        coeffs = coeffs.real
+    ys = _march(step, coeffs.tolist(), times,
                 "body velocity left the finite range near t = {t:.6g}")
     return Trajectory(group=group, times=times,
                       xi=np.array(ys, dtype=group.scalar_dtype))

@@ -59,6 +59,7 @@ from .verify import (
     check_conservation,
     check_cross_ratio,
     check_equivalence_rigid,
+    check_hamiltonian_conservation,
     check_rk4_order,
     min_norm_costate,
 )
@@ -558,6 +559,11 @@ def _line_action_equality(scn):
                                   scn.line_extremal),)
 
 
+def _hamiltonian_conservation(scn):
+    return (check_hamiltonian_conservation(
+        scn.connection, scn.inertia_coefficients, scn.line_extremal),)
+
+
 def _closed_form(scn):
     params = symmetric_params_from_feedback(scn)
     try:
@@ -588,6 +594,7 @@ PROBLEMS = {
     "riccati": (("sl2r", "su2", "so21"), {
         "cross_ratio": (None, _cross_ratio),
         "action_equality": (_three_samples, _line_action_equality),
+        "hamiltonian_conservation": (None, _hamiltonian_conservation),
         "closed_form": (_symmetric_family, _closed_form),
         "closed_loop_audit": (_sl2r_only, _closed_loop_audit),
     }),

@@ -301,6 +301,32 @@ def check_conservation(J_in, traj: Trajectory):
     )
 
 
+def check_hamiltonian_conservation(B: ConnectionCoefficients, I_coeffs,
+                                   traj: Trajectory):
+    """Drift of the Hamiltonian along a line extremal.
+
+    The closed loop is the Hamiltonian flow of H = p^2 Q(x) / 2 with
+    Q(x) = sum_a X_a(x)^2 / I_a, so H is a first integral of a true
+    extremal.  H is evaluated here on the stored (x, p) from the
+    connection's generator polynomials X_a and the inertia coefficients
+    I_a, not from the march's own field, so a wrong costate equation shows
+    as drift (the cross-ratio holds for any Riccati equation, and the
+    action-equality precheck reads only x').  Reports
+    max |H - H0| / (1 + |H0|).
+    """
+    if traj.x is None or traj.p is None:
+        raise DomainError("line extremal with state and costate samples "
+                          "required")
+    x, p = traj.x, traj.p
+    rows = line_generator_polynomials(traj.group, B)
+    X = rows[:, 0] + np.outer(x, rows[:, 1]) + np.outer(x * x, rows[:, 2])
+    H = 0.5 * p * p * (X * X / np.asarray(I_coeffs)).sum(axis=1)
+    drift = float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
+    return CheckResult.from_residual(
+        "hamiltonian_conservation", drift, 1e-6,
+        details=f"H {H[0]!r}, relative drift {drift:.6e}")
+
+
 def check_rk4_order(group: GroupId, J_in, xi0, cfg: IntegratorConfig):
     """Terminal-error ratio between steps h and h/2 on the reduced flow.
 

@@ -26,6 +26,7 @@ from lsb_lab import (
     feedback_solve,
     group_identity,
     group_manifold,
+    inertia_anticommutator,
     inertia_diagonal,
     integrate_euler_poincare,
     integrate_extremal,
@@ -37,7 +38,13 @@ from lsb_lab import (
     reconstruct_group,
     riccati_coefficients,
 )
-from lsb_lab.dynamics import DIVERGENCE_CAP, _march, _modulus
+from lsb_lab.dynamics import (
+    DIVERGENCE_CAP,
+    _euler_poincare_field,
+    _euler_poincare_step,
+    _march,
+    _modulus,
+)
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
 
@@ -128,13 +135,16 @@ EP_CASES = [
 ]
 
 
-def _euler_poincare_reference_gap(method, group, xi0):
+DENSE_J = [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]]
+DIAG_J = [[2.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.0]]
+SU2_COMPLEX_START = [0.6 + 0.1j, -0.2, 0.5 - 0.3j]
+
+
+def _euler_poincare_reference_gap(method, group, xi0, J3=DENSE_J):
     """Relative sup gap between the closed-form core and the method stepped
-    through the public per-point euler_poincare_rhs, for a dense
-    (non-diagonal) inertia."""
-    J = InertiaOperator(group, [[2.0, 0.3, 0.1],
-                                [0.3, 1.5, -0.2],
-                                [0.1, -0.2, 1.0]])
+    through the public per-point euler_poincare_rhs, for the inertia J3
+    (dense, non-diagonal, by default)."""
+    J = InertiaOperator(group, J3)
     cfg = IntegratorConfig(method, 0.01, 1.0)
     tr = integrate_euler_poincare(group, J, AlgebraElement(group, xi0), cfg)
     ref = REFERENCES[method](
@@ -151,6 +161,116 @@ def test_euler_poincare_matches_reference_rk4(group, xi0):
 @pytest.mark.parametrize("group,xi0", EP_CASES)
 def test_euler_poincare_matches_reference_euler(group, xi0):
     assert _euler_poincare_reference_gap("euler", group, xi0) <= 1e-13
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("group,xi0", EP_CASES + [
+    (GroupId.SU2, SU2_COMPLEX_START),
+])
+def test_euler_poincare_diagonal_inertia_matches_reference(method, group,
+                                                           xi0):
+    # a diagonal J takes the six-product Euler closure on so3 and su2 and
+    # the dense one on sl2r and so21
+    assert _euler_poincare_reference_gap(method, group, xi0, DIAG_J) <= 1e-13
+
+
+@pytest.mark.parametrize("group,J3,six", [
+    (GroupId.SO3, DIAG_J, True),
+    (GroupId.SU2, DIAG_J, True),
+    (GroupId.SO3, DENSE_J, False),
+    (GroupId.SU2, DENSE_J, False),
+    (GroupId.SL2R, DIAG_J, False),   # T[0, 0, 2] is nonzero
+    (GroupId.SO21, DIAG_J, False),   # starred
+], ids=["so3-diag", "su2-diag", "so3-dense", "su2-dense", "sl2r-diag",
+        "so21-diag"])
+def test_euler_poincare_closure_follows_the_table(monkeypatch, group, J3,
+                                                  six):
+    """The six-product closure runs exactly where T vanishes outside the
+    Euler pattern, and there it is the dense closure with its exact-zero
+    terms dropped: equal values at every point, equal marches bit for
+    bit."""
+    J = InertiaOperator(group, J3)
+    cfg = IntegratorConfig("rk4", 0.01, 1.0)
+    starts = [AlgebraElement(group, xi0) for xi0 in
+              ([0.8, 0.3, -0.4], [0.0, -0.0, 0.9], [-0.0, 0.5, 0.0])]
+    field = _euler_poincare_field(group, J)
+    marched = [integrate_euler_poincare(group, J, s, cfg).xi for s in starts]
+    monkeypatch.setattr("lsb_lab.dynamics._NON_EULER",
+                        np.ones((3, 9), dtype=bool))
+    dense = _euler_poincare_field(group, J)
+    # the two closures are two functions; the dense one is built twice
+    assert (field.__code__ is not dense.__code__) == six
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 2.0, size=(50, 3)).tolist()
+    points += [[0.0, -0.0, 0.7], [-0.0, 0.3, 0.0], [0.0, 0.0, 0.0]]
+    if group.is_complex:
+        points += (rng.uniform(-2.0, 2.0, size=(20, 3))
+                   + 1j * rng.uniform(-2.0, 2.0, size=(20, 3))).tolist()
+    for v in points:
+        assert field(*v) == dense(*v)
+    for start, xi in zip(starts, marched):
+        assert (integrate_euler_poincare(group, J, start, cfg).xi.tobytes()
+                == xi.tobytes())
+
+
+def _complex_march(group, J, xi0, cfg):
+    # the reduced flow marched on complex scalars whatever the start
+    ys = _march(_euler_poincare_step(cfg.method,
+                                     _euler_poincare_field(group, J),
+                                     cfg.step),
+                [complex(c) for c in xi0.coeffs], cfg.times(), "{t}")
+    ys = np.array(ys, dtype=np.complex128)
+    return ys if group.is_complex else ys.real
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("group", list(GroupId))
+@pytest.mark.parametrize("J3", [DIAG_J, DENSE_J], ids=["diag", "dense"])
+def test_real_start_marches_like_the_complex_march(method, group, J3):
+    """A real start marches on floats; the samples equal the complex
+    march's bit for bit, zero signs included.  A start holding a negative
+    zero keeps the complex march, whose signed-zero arithmetic differs."""
+    J = InertiaOperator(group, J3)
+    cfg = IntegratorConfig(method, 0.01, 1.0)
+    for xi0 in ([0.6, -0.2, 0.5], [0.0, 0.0, 0.9], [0.7, 0.0, -0.0],
+                [-0.0, 0.4, 0.0]):
+        start = AlgebraElement(group, xi0)
+        xi = integrate_euler_poincare(group, J, start, cfg).xi
+        assert xi.dtype == group.scalar_dtype
+        assert xi.tobytes() == _complex_march(group, J, start, cfg).tobytes()
+
+
+def test_su2_real_start_stays_real():
+    J = inertia_diagonal(GroupId.SU2, 1.0, 2.0, 3.0)
+    xi = integrate_euler_poincare(
+        GroupId.SU2, J, AlgebraElement(GroupId.SU2, [0.8, 0.3, -0.4]),
+        IntegratorConfig("rk4", 1e-3, 1.0)).xi
+    assert xi.dtype == np.complex128
+    assert np.all(xi.imag == 0)
+    assert not np.signbit(xi.imag).any()
+
+
+def test_su2_complex_start_marches_complex():
+    # its reference gap is one of the diagonal-inertia cases above
+    J = InertiaOperator(GroupId.SU2, DIAG_J)
+    xi = integrate_euler_poincare(
+        GroupId.SU2, J, AlgebraElement(GroupId.SU2, SU2_COMPLEX_START),
+        IntegratorConfig("rk4", 0.01, 1.0)).xi
+    assert np.abs(xi.imag[1:]).min() > 0
+
+
+@pytest.mark.parametrize("group,d,diag", [
+    (GroupId.SO3, [0.7, 1.3, 2.1], (1.3 + 2.1, 0.7 + 2.1, 0.7 + 1.3)),
+    (GroupId.SU2, [0.9, 1.7], (0.9 + 1.7,) * 3),
+])
+def test_anticommutator_inertia_marches_like_its_diagonal(group, d, diag):
+    cfg = IntegratorConfig("rk4", 1e-3, 1.0)
+    xi0 = AlgebraElement(group, [0.8, 0.3, -0.4])
+    anti = integrate_euler_poincare(group, inertia_anticommutator(group, d),
+                                    xi0, cfg).xi
+    npt.assert_array_equal(
+        anti, integrate_euler_poincare(
+            group, inertia_diagonal(group, *diag), xi0, cfg).xi)
 
 
 LINE_CASES = [

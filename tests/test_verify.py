@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lsb_lab
 from lsb_lab import (
     AlgebraElement,
     CheckResult,
@@ -25,6 +26,7 @@ from lsb_lab import (
     check_conservation,
     check_cross_ratio,
     check_equivalence_rigid,
+    check_hamiltonian_conservation,
     check_rk4_order,
     clebsch_lagrangian,
     closed_form_symmetric,
@@ -318,6 +320,61 @@ def test_closed_form_stationary_example():
     except DivergenceError:
         gap = np.inf
     assert gap <= 1e-10
+
+
+def _scale_costate_rate(monkeypatch, scale):
+    """Make the line march step p' scaled by scale (a defect injected into
+    the march only; the checks keep their own formulas)."""
+    loop = lsb_lab.dynamics._line_loop
+
+    def defective(*args):
+        control, field = loop(*args)
+
+        def scaled(x, p):
+            xdot, pdot = field(x, p)
+            return xdot, scale * pdot
+        return control, scaled
+    monkeypatch.setattr("lsb_lab.dynamics._line_loop", defective)
+
+
+COSTATE_DEFECTS = pytest.mark.parametrize(
+    "scale", [1.0, -1.0, 1.01], ids=["true", "flipped", "scaled"])
+
+
+@COSTATE_DEFECTS
+@pytest.mark.parametrize("group,x0,p0", [
+    (GroupId.SL2R, 0.3, -0.6),
+    (GroupId.SU2, 0.2 + 0.1j, 0.5 - 0.2j),
+    (GroupId.SO21, 0.3 - 0.2j, 0.2 + 0.1j),
+])
+def test_hamiltonian_conservation_catches_costate_defects(
+        monkeypatch, group, x0, p0, scale):
+    # measured drift at h = 1e-2: <= 5.1e-11 on the true loop, 3.9e-4 and
+    # more with a defect
+    B, I = ConnectionCoefficients((1.1, 0.7, 1.3)), (1.0, 2.0, 1.5)
+    _scale_costate_rate(monkeypatch, scale)
+    ext = integrate_extremal(moebius_line(group), B, I, x0, p0,
+                             IntegratorConfig("rk4", 1e-2, 1.0))
+    res = check_hamiltonian_conservation(B, I, ext)
+    assert res.name == "hamiltonian_conservation"
+    assert res.passed == (scale == 1.0), res.details
+
+
+@COSTATE_DEFECTS
+def test_hamiltonian_conservation_closes_the_costate_blind_spot(
+        monkeypatch, scale):
+    """On the symmetric demo a wrong p' passes cross_ratio (it holds for
+    any Riccati equation) and action_equality (its precheck reads only
+    x'); hamiltonian_conservation is the entry that fails."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "scenarios", "riccati_sl2r_symmetric.json")
+    raw = load_raw(path)
+    raw["checks"] = ["cross_ratio", "action_equality",
+                     "hamiltonian_conservation"]
+    _scale_costate_rate(monkeypatch, scale)
+    passed = {c.name: c.passed for c in run_checks(Scenario(raw)).checks}
+    assert passed == {"cross_ratio": True, "action_equality": True,
+                      "hamiltonian_conservation": scale == 1.0}
 
 
 def test_closed_loop_audit_self_consistency():
