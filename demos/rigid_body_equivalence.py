@@ -74,7 +74,7 @@ def main(argv=None):
     line("squared-momentum drift", f"{casimir.max_residual:.3e}")
 
     act = check_action_equality(J, B, lift)
-    S = objective_value(J, ep, cfg)
+    S = objective_value(J, ep)
     line("plain action integral", f"{S:.12f}")
     line("lifted vs plain relative gap", f"{act.max_residual:.3e}")
 

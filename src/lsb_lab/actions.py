@@ -9,6 +9,13 @@ Riccati equation.
 
 The connection coefficients (B_plus, B_minus, B_zero) rescale the line
 generators slot by slot; (1, 1, 1) is the canonical (Maurer-Cartan) case.
+
+The Clebsch-Lin functions (generator_field, infinitesimal_action,
+momentum_map, quadratic_cost, pontryagin_hamiltonian, clebsch_lagrangian)
+take plain arrays and broadcast over leading sample axes: a control is a
+coefficient array of shape (..., 3), a line state or costate has shape
+(...), a manifold one (..., d, d).  One point is the case with no leading
+axis; a trajectory's stored samples are the case with one.
 """
 
 from __future__ import annotations
@@ -23,17 +30,12 @@ from .groups import (
     GroupElement,
     GroupId,
     InertiaOperator,
-    basis,
-    inertia_apply,
-    killing_form,
-    slot_index,
-    CONSTRAINT_TOL,
+    _BASES,
 )
 
 __all__ = [
     "StateSpace",
     "ConnectionCoefficients",
-    "Costate",
     "group_manifold",
     "moebius_line",
     "generator_field",
@@ -41,7 +43,6 @@ __all__ = [
     "riccati_coefficients",
     "line_generator_polynomials",
     "momentum_map",
-    "lin_constraint_residual",
     "quadratic_cost",
     "pontryagin_hamiltonian",
     "clebsch_lagrangian",
@@ -112,48 +113,6 @@ def _line_scalar(space: StateSpace, x) -> complex | float:
     return x
 
 
-def _manifold_matrix(space: StateSpace, x) -> np.ndarray:
-    """Matrix of a manifold state.
-
-    Accepts a validated GroupElement or a raw square matrix; the raw form
-    exists for samples of numeric curves, which satisfy the group
-    constraint only approximately.
-    """
-    if isinstance(x, GroupElement):
-        if x.group is not space.group:
-            raise DomainError(f"state group {x.group.value} does not match "
-                              f"space group {space.group.value}")
-        return x.matrix
-    m = np.asarray(x, dtype=space.group.scalar_dtype)
-    d = space.group.dim
-    if m.shape != (d, d):
-        raise DomainError(f"manifold state must be {d}x{d}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("manifold state must be finite")
-    return m
-
-
-@dataclass(frozen=True)
-class Costate:
-    """A point (x, p) of the cotangent bundle in the trivialized picture:
-    scalars on the line, a group element paired with a same-shape matrix on
-    the group manifold."""
-
-    space: StateSpace
-    x: object
-    p: object
-
-    def __post_init__(self):
-        if self.space.is_line:
-            _line_scalar(self.space, self.x)
-            complex(self.p)
-        else:
-            m = _manifold_matrix(self.space, self.x)
-            p = np.asarray(self.p, dtype=self.space.group.scalar_dtype)
-            if p.shape != m.shape:
-                raise DomainError("costate matrix must match the state's shape")
-
-
 def line_generator_polynomials(group: GroupId,
                                B: ConnectionCoefficients) -> np.ndarray:
     """Coefficient rows (constant, linear, quadratic) of the three line
@@ -172,20 +131,20 @@ def line_generator_polynomials(group: GroupId,
     return np.array(rows, dtype=np.complex128)
 
 
-def generator_field(space: StateSpace, a, B: ConnectionCoefficients, x):
-    """Value of the a-th infinitesimal generator at the state x.
+def generator_field(space: StateSpace, B: ConnectionCoefficients, x):
+    """Values of the three infinitesimal generators at the states x.
 
-    Group manifold: the matrix x e_a.
-    Moebius line: the generator polynomial evaluated at x.
+    The slots sit on a new trailing axis: shape (..., 3) on the line, where
+    slot a is row a of `line_generator_polynomials` evaluated at x, and
+    (..., 3, d, d) on the group manifold, where it is the matrix x e_a.
+    B is read only on the line.
     """
-    idx = slot_index(a)
+    x = np.asarray(x)
     if space.is_line:
-        xv = _line_scalar(space, x)
-        row = line_generator_polynomials(space.group, B)[idx]
-        val = row[0] + row[1] * xv + row[2] * xv * xv
-        return val if space.group.is_complex else float(np.real(val))
-    m = _manifold_matrix(space, x)
-    return m @ basis(space.group)[idx]
+        rows = line_generator_polynomials(space.group, B)
+        return (rows[:, 0] + rows[:, 1] * x[..., None]
+                + rows[:, 2] * (x * x)[..., None])
+    return x[..., None, :, :] @ _BASES[space.group]
 
 
 def riccati_coefficients(group: GroupId, xi: AlgebraElement,
@@ -203,86 +162,65 @@ def riccati_coefficients(group: GroupId, xi: AlgebraElement,
     return float(np.real(poly[2])), float(np.real(poly[1])), float(np.real(poly[0]))
 
 
-def infinitesimal_action(space: StateSpace, xi: AlgebraElement,
-                         B: ConnectionCoefficients, x):
-    """Tangent value of the action generated by xi at x; linear in xi."""
-    if xi.group is not space.group:
-        raise DomainError(f"group mismatch: {xi.group.value} vs "
-                          f"{space.group.value}")
-    if space.is_line:
-        xv = _line_scalar(space, x)
-        a, b, c = riccati_coefficients(space.group, xi, B)
-        return a * xv * xv + b * xv + c
-    m = _manifold_matrix(space, x)
-    return m @ xi.matrix()
+def infinitesimal_action(space: StateSpace, B: ConnectionCoefficients,
+                         xi, x):
+    """Tangent value at x of the action generated by the coefficients xi.
 
-
-def _costate_pairing(space: StateSpace, p, tangent):
-    if space.is_line:
-        return complex(p) * tangent if space.group.is_complex \
-            else float(p) * tangent
-    p = np.asarray(p, dtype=space.group.scalar_dtype)
-    if space.group.is_complex:
-        return float(np.real(np.trace(p.conj().T @ tangent)))
-    return float(np.trace(p.T @ tangent))
-
-
-def momentum_map(space: StateSpace, B: ConnectionCoefficients, x, p) -> np.ndarray:
-    """Slot-wise pairings of the costate with the three generators; the
-    contraction with a coefficient vector equals the pairing of p with the
-    corresponding infinitesimal action value."""
-    vals = [_costate_pairing(space, p, generator_field(space, a, B, x))
-            for a in range(3)]
-    dtype = space.group.scalar_dtype if space.is_line else np.float64
-    return np.array(vals, dtype=dtype)
-
-
-def lin_constraint_residual(space: StateSpace, B: ConnectionCoefficients,
-                            x, xdot, xi: AlgebraElement):
-    """xdot minus the control field; identically zero on controlled curves."""
-    return xdot - infinitesimal_action(space, xi, B, x)
-
-
-def quadratic_cost(J: InertiaOperator, xi: AlgebraElement,
-                   pairing: str = "coordinate"):
-    """Running cost (1/2)<xi, J xi>.
-
-    pairing="coordinate": half the coefficient quadratic form (no conjugation,
-    so the expression is holomorphic in complex coefficients).
-    pairing="trace": half the group trace pairing of xi with J xi.
+    c2 x^2 + c1 x + c0 with (c0, c1, c2) = xi @ line_generator_polynomials
+    on the line, x xi on the group manifold (B is read only on the line);
+    linear in xi.
     """
-    if J.group is not xi.group:
-        raise DomainError(f"group mismatch: {J.group.value} vs {xi.group.value}")
-    if pairing == "coordinate":
-        val = 0.5 * (xi.coeffs @ (J.matrix3 @ xi.coeffs))
-        return val if xi.group.is_complex else float(np.real(val))
-    if pairing == "trace":
-        return 0.5 * killing_form(xi, inertia_apply(J, xi))
-    raise DomainError(f"unknown pairing {pairing!r}")
+    xi, x = np.asarray(xi), np.asarray(x)
+    if space.is_line:
+        c = xi @ line_generator_polynomials(space.group, B)
+        return c[..., 2] * x * x + c[..., 1] * x + c[..., 0]
+    ximats = np.tensordot(xi, _BASES[space.group], axes=(-1, 0))
+    return np.einsum("...ij,...jl->...il", x, ximats)
+
+
+def _pairing(space: StateSpace, p, v):
+    # costate paired with a tangent: p v on the line, Re tr(p^H v) on the
+    # group manifold
+    if space.is_line:
+        return p * v
+    return np.einsum("...ij,...ij->...", np.conj(p), v).real
+
+
+def momentum_map(space: StateSpace, B: ConnectionCoefficients, x, p):
+    """Pairings of the costate p with the three generators at x, on a
+    trailing axis of length 3; contracting them with coefficients xi gives
+    the pairing of p with the infinitesimal action of xi."""
+    slot_axis = -1 if space.is_line else -3
+    return _pairing(space, np.expand_dims(p, slot_axis),
+                    generator_field(space, B, x))
+
+
+def quadratic_cost(J: InertiaOperator, xi):
+    """Running cost (1/2) xi^T J xi of coefficient vectors on a trailing
+    axis; no conjugation, so it is holomorphic in complex coefficients."""
+    return 0.5 * np.einsum("...a,ab,...b->...", xi, J.matrix3, xi)
 
 
 def pontryagin_hamiltonian(space: StateSpace, B: ConnectionCoefficients,
-                           J: InertiaOperator, x, p, xi: AlgebraElement,
-                           pairing: str = "coordinate"):
+                           J: InertiaOperator, x, p, xi):
     """<p, control field at x> minus the running cost.
 
     Stationary in xi exactly at the optimal feedback value.
     """
-    drive = _costate_pairing(space, p, infinitesimal_action(space, xi, B, x))
-    return drive - quadratic_cost(J, xi, pairing=pairing)
+    drive = _pairing(space, p, infinitesimal_action(space, B, xi, x))
+    return drive - quadratic_cost(J, xi)
 
 
 def clebsch_lagrangian(space: StateSpace, B: ConnectionCoefficients,
-                       J: InertiaOperator, x, p, xdot, xi: AlgebraElement,
-                       pairing: str = "coordinate"):
-    """Running cost plus the costate-weighted control residual.
+                       J: InertiaOperator, x, p, xdot, xi):
+    """Running cost plus the costate paired with the control residual
+    xdot - (action of xi at x).
 
     Collapses to the running cost whenever (x, xdot) satisfies the control
     equation, and for p = 0.
     """
-    penalty = _costate_pairing(
-        space, p, lin_constraint_residual(space, B, x, xdot, xi))
-    return quadratic_cost(J, xi, pairing=pairing) + penalty
+    residual = np.asarray(xdot) - infinitesimal_action(space, B, xi, x)
+    return quadratic_cost(J, xi) + _pairing(space, p, residual)
 
 
 def moebius_apply(group: GroupId, g: GroupElement, x):

@@ -24,6 +24,7 @@ from .actions import (
     _line_scalar,
     line_generator_polynomials,
     moebius_line,
+    quadratic_cost,
 )
 from .errors import DivergenceError, DomainError, PoleError
 from .groups import (
@@ -427,8 +428,7 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
 
 
 def reconstruct_group(group: GroupId, xi_traj: Trajectory,
-                      g0: GroupElement,
-                      cfg: IntegratorConfig | None = None) -> Trajectory:
+                      g0: GroupElement) -> Trajectory:
     """Product-integral reconstruction of the group curve gdot = g xi from
     g(0) = g0.
 
@@ -447,8 +447,6 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
         raise DomainError("reconstruction needs body-velocity samples")
     if g0.group is not group or xi_traj.group is not group:
         raise DomainError("group mismatch in reconstruction")
-    if cfg is not None and abs(cfg.step - xi_traj.step) > 1e-12 * xi_traj.step:
-        raise DomainError("config step does not match the trajectory grid")
     xi = xi_traj.xi
     mid = 0.5 * (xi[:-1] + xi[1:])
     steps = exp_matrices(group, xi_traj.step * mid)
@@ -695,18 +693,13 @@ def quadrature(times: np.ndarray, values: np.ndarray):
     return head + tail
 
 
-def objective_value(J, xi_traj: Trajectory,
-                    cfg: IntegratorConfig | None = None):
+def objective_value(J, xi_traj: Trajectory):
     """Integral of the running cost (1/2) xi^T J xi along the trajectory.
 
     J is an inertia operator or its three diagonal coefficients.
     """
     if xi_traj.xi is None:
         raise DomainError("objective needs control samples")
-    if cfg is not None and abs(cfg.step - xi_traj.step) > 1e-12 * xi_traj.step:
-        raise DomainError("config step does not match the trajectory grid")
-    J3 = (J.matrix3 if isinstance(J, InertiaOperator)
-          else np.diag(_diag_coeffs(J)))
-    xi = xi_traj.xi
-    return quadrature(xi_traj.times,
-                      0.5 * np.einsum("ka,ab,kb->k", xi, J3, xi))
+    if not isinstance(J, InertiaOperator):
+        J = InertiaOperator(xi_traj.group, np.diag(_diag_coeffs(J)))
+    return quadrature(xi_traj.times, quadratic_cost(J, xi_traj.xi))

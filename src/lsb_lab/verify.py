@@ -12,7 +12,12 @@ import numpy as np
 
 from .actions import (
     ConnectionCoefficients,
-    line_generator_polynomials,
+    clebsch_lagrangian,
+    generator_field,
+    group_manifold,
+    infinitesimal_action,
+    moebius_line,
+    quadratic_cost,
     riccati_coefficients,
 )
 from .dynamics import (
@@ -117,26 +122,6 @@ def _frobenius_max(arr):
     return float(np.sqrt((np.abs(flat) ** 2).sum(axis=1)).max())
 
 
-def _control_field(B, traj: Trajectory):
-    """The control equation's right-hand side on the stored samples.
-
-    c0 + c1 x + c2 x^2 with (c0, c1, c2) = xi @ line_generator_polynomials
-    on the line (B is read only there), x xi on the group manifold.
-    """
-    xi, x = traj.xi, traj.x
-    if x.ndim == 1:
-        c = xi @ line_generator_polynomials(traj.group, B)
-        return c[:, 2] * x * x + c[:, 1] * x + c[:, 0]
-    ximats = np.tensordot(xi, _BASES[traj.group], axes=(1, 0))
-    return np.einsum("kij,kjl->kil", x, ximats)
-
-
-def _inertia_matrix3(group: GroupId, J_in) -> np.ndarray:
-    if isinstance(J_in, InertiaOperator):
-        return J_in.matrix3
-    return np.asarray(J_in, dtype=np.float64)
-
-
 def min_norm_costate(group: GroupId, J3, xi0, x0m):
     """Costate p0 at the state matrix x0m matching the momentum J3 xi0.
 
@@ -147,10 +132,10 @@ def min_norm_costate(group: GroupId, J3, xi0, x0m):
     return np.linalg.solve(np.asarray(x0m).conj().T, M0 / 2.0)
 
 
-def check_equivalence_rigid(J_in, lift):
+def check_equivalence_rigid(J: InertiaOperator, lift):
     """Certify the two-sided correspondence on a rigid-body run.
 
-    Inputs: inertia J_in and a lifted extremal (see dynamics.lift_extremal)
+    Inputs: inertia J and a lifted extremal (see dynamics.lift_extremal)
     carrying the control samples xi, the states x and the costates p.
     Measures (i) the control-equation residual x' - x xi, with x' by central
     differences, and (ii) the momentum matching residual x^H p - p^H x - J xi
@@ -159,13 +144,12 @@ def check_equivalence_rigid(J_in, lift):
     if any(getattr(lift, f) is None for f in ("xi", "x", "p")):
         raise DomainError("a lifted extremal (lift_extremal) is required")
     group, xs, n = lift.group, lift.x, lift.times.size
-    J3 = _inertia_matrix3(group, J_in)
-    r_control = _frobenius_max(central_difference(lift.times, xs)
-                               - _control_field(None, lift))
+    field = infinitesimal_action(group_manifold(group), None, lift.xi, xs)
+    r_control = _frobenius_max(central_difference(lift.times, xs) - field)
 
     matched = np.einsum("kij,kjl->kil", xs.conj().transpose(0, 2, 1), lift.p)
     Msamples = matched - matched.conj().transpose(0, 2, 1)
-    Jmats = np.tensordot(lift.xi @ J3.T, _BASES[group],
+    Jmats = np.tensordot(lift.xi @ J.matrix3.T, _BASES[group],
                          axes=(1, 0)).astype(group.scalar_dtype)
     r_constraint = _frobenius_max(Msamples - Jmats)
 
@@ -206,16 +190,17 @@ def check_cross_ratio(trajs):
         details=f"cross-ratio {cr0!r}, relative drift {drift:.6e}")
 
 
-def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory):
+def check_action_equality(J: InertiaOperator, B: ConnectionCoefficients,
+                          traj: Trajectory):
     """Equality of the plain and lifted action integrals on an extremal.
 
-    The plain integrand is the running cost (1/2) xi^T J xi; the lifted one
-    adds the costate-weighted control residual, p r on the line and
-    Re tr(p^H r) on the group manifold, with r = x' - (c0 + c1 x + c2 x^2)
-    on the line and r = x' - x xi on the manifold, x' by central
-    differences of the stored states.  On a controlled curve r is the
-    stencil's truncation error, so the gap between the two integrals is a
-    measured O(h^2) quantity, gated like every differential residual here.
+    The plain integrand is the running cost (1/2) xi^T J xi
+    (`quadratic_cost`); the lifted one is the Clebsch Lagrangian
+    (`clebsch_lagrangian`), which adds the costate paired with the control
+    residual r = x' - (action of xi at x), x' by central differences of the
+    stored states.  On a controlled curve r is the stencil's truncation
+    error, so the gap between the two integrals is a measured O(h^2)
+    quantity, gated like every differential residual here.
 
     Precondition checked first, on the same r: the curve satisfies its
     control equation, with |r| normalized by the local field scale so that
@@ -225,11 +210,12 @@ def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory):
     if traj.x is None or traj.p is None or traj.xi is None:
         raise DomainError("extremal with stored control, state and costate "
                           "samples required")
-    J3 = _inertia_matrix3(traj.group, J_in)
-    times = traj.times
+    group, times, x, p, xi = traj.group, traj.times, traj.x, traj.p, traj.xi
+    space = moebius_line(group) if x.ndim == 1 else group_manifold(group)
     tol = _residual_tolerance(traj.step)
-    field = _control_field(B, traj)
-    r = central_difference(times, traj.x) - field
+    xdot = central_difference(times, x)
+    field = infinitesimal_action(space, B, xi, x)
+    r = xdot - field
     pre_res = np.abs(r)
     pre_scale = np.abs(field)
     while pre_res.ndim > 1:
@@ -244,15 +230,10 @@ def check_action_equality(J_in, B: ConnectionCoefficients, traj: Trajectory):
                      "identity is only asserted on curves satisfying the "
                      "control equation"))
 
-    xi, p = traj.xi, traj.p
     # complex, so that S_plain and S_lifted print alike on every group
-    L = 0.5 * np.einsum("ka,ab,kb->k", xi, J3, xi).astype(np.complex128)
-    if r.ndim == 1:
-        penalty = p * r
-    else:
-        penalty = np.einsum("kij,kij->k", p.conj(), r).real
-    S_plain = quadrature(times, L)
-    S_lifted = quadrature(times, L + penalty)
+    S_plain = quadrature(times, quadratic_cost(J, xi).astype(np.complex128))
+    S_lifted = quadrature(times, clebsch_lagrangian(
+        space, B, J, x, p, xdot, xi).astype(np.complex128))
     gap = abs(S_lifted - S_plain) / (1.0 + abs(S_plain))
     return CheckResult.from_residual(
         "action_equality", gap, tol,
@@ -276,7 +257,7 @@ def check_closed_form(params, traj: Trajectory):
                  f"max |x_num| {float(np.abs(traj.x).max()):.6g}"))
 
 
-def check_conservation(J_in, traj: Trajectory):
+def check_conservation(J: InertiaOperator, traj: Trajectory):
     """Drift of the reduced energy and of the squared momentum coefficients.
 
     Both are first integrals of the reduced flow; drift is measured in
@@ -284,10 +265,8 @@ def check_conservation(J_in, traj: Trajectory):
     """
     if traj.xi is None:
         raise DomainError("control samples required")
-    J3 = _inertia_matrix3(traj.group, J_in)
-    xi = traj.xi
-    energy = 0.5 * np.einsum("ka,ab,kb->k", xi, J3, xi)
-    Jxi = xi @ J3.T
+    energy = quadratic_cost(J, traj.xi)
+    Jxi = traj.xi @ J.matrix3.T
     casimir = (np.abs(Jxi) ** 2).sum(axis=1)
     d_e = float(np.abs(energy - energy[0]).max())
     d_c = float(np.abs(casimir - casimir[0]).max())
@@ -317,9 +296,8 @@ def check_hamiltonian_conservation(B: ConnectionCoefficients, I_coeffs,
     if traj.x is None or traj.p is None:
         raise DomainError("line extremal with state and costate samples "
                           "required")
-    x, p = traj.x, traj.p
-    rows = line_generator_polynomials(traj.group, B)
-    X = rows[:, 0] + np.outer(x, rows[:, 1]) + np.outer(x * x, rows[:, 2])
+    p = traj.p
+    X = generator_field(moebius_line(traj.group), B, traj.x)
     H = 0.5 * p * p * (X * X / np.asarray(I_coeffs)).sum(axis=1)
     drift = float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
     return CheckResult.from_residual(
@@ -327,7 +305,8 @@ def check_hamiltonian_conservation(B: ConnectionCoefficients, I_coeffs,
         details=f"H {H[0]!r}, relative drift {drift:.6e}")
 
 
-def check_rk4_order(group: GroupId, J_in, xi0, cfg: IntegratorConfig):
+def check_rk4_order(group: GroupId, J: InertiaOperator, xi0,
+                    cfg: IntegratorConfig):
     """Terminal-error ratio between steps h and h/2 on the reduced flow.
 
     A fourth-order scheme halves the terminal error by about 16; the
@@ -339,14 +318,12 @@ def check_rk4_order(group: GroupId, J_in, xi0, cfg: IntegratorConfig):
     """
     if cfg.method != "rk4":
         raise DomainError("order check is defined for the rk4 method")
-    if not isinstance(J_in, InertiaOperator):
-        J_in = InertiaOperator(group, np.asarray(J_in, dtype=np.float64))
     if not isinstance(xi0, AlgebraElement):
         xi0 = AlgebraElement(group, xi0)
 
     def terminal(step):
         sub = IntegratorConfig("rk4", step, cfg.horizon)
-        return integrate_euler_poincare(group, J_in, xi0, sub).xi[-1]
+        return integrate_euler_poincare(group, J, xi0, sub).xi[-1]
 
     ref = terminal(cfg.step / 8.0)
     e1 = float(np.abs(terminal(cfg.step) - ref).max())
@@ -411,6 +388,7 @@ def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
     pts = rng.uniform(-2.0, 2.0, size=(n_points, 2))
     pts = pts[np.abs(pts[:, 1]) > 1e-3]  # keep p away from the fixed line
 
+    line = moebius_line(group)
     control, field = _line_loop(group, B, I_coeffs)
     self_res = 0.0
     depart_x = 0.0
@@ -419,8 +397,8 @@ def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
         point = _line_point(group, x, p)
         xd_direct, pd_direct = field(*point)
         fb = AlgebraElement(group, control(*point))
-        a, b, c = riccati_coefficients(group, fb, B)
-        xd_comp = a * x * x + b * x + c
+        a, b, _ = riccati_coefficients(group, fb, B)
+        xd_comp = infinitesimal_action(line, B, fb.coeffs, x)
         pd_comp = -(2.0 * a * x + b) * p
         xd_hand, pd_hand = _expanded_substituted_rhs(x, p, B, I_coeffs)
         scale = max(1.0, abs(xd_direct), abs(pd_direct))

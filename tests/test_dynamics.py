@@ -341,8 +341,7 @@ def test_reconstruction_input_checks():
     times = np.array([0.0, 0.1, 0.2])
     bare = Trajectory(group=GroupId.SO3, times=times, xi=np.zeros((3, 3)))
     with pytest.raises(DomainError):
-        reconstruct_group(GroupId.SO3, bare, group_identity(GroupId.SO3),
-                          cfg=IntegratorConfig("rk4", 0.05, 0.2))
+        reconstruct_group(GroupId.SO3, bare, group_identity(GroupId.SU2))
     no_xi = Trajectory(group=GroupId.SO3, times=times)
     with pytest.raises(DomainError):
         reconstruct_group(GroupId.SO3, no_xi, group_identity(GroupId.SO3))

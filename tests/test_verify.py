@@ -28,19 +28,17 @@ from lsb_lab import (
     check_equivalence_rigid,
     check_hamiltonian_conservation,
     check_rk4_order,
-    clebsch_lagrangian,
     closed_form_symmetric,
     closed_loop_rhs,
     feedback_solve,
     group_identity,
-    group_manifold,
     inertia_diagonal,
     integrate_euler_poincare,
     integrate_extremal,
     integrate_riccati,
     lift_extremal,
+    line_generator_polynomials,
     moebius_line,
-    quadratic_cost,
     quadrature,
     reconstruct_group,
     riccati_coefficients,
@@ -162,6 +160,20 @@ def test_conservation_drift_at_roundoff():
     assert casimir.max_residual < 1e-13
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the reduced field J^-1 [J xi, xi] with the coefficient dot product is "
+    "not the Euler-Poincare equation on the non-compact sl2r: the energy "
+    "drifts by 34.03 against the 1e-6 gate"))
+def test_euler_poincare_conserves_energy_on_sl2r():
+    # energy only: |J xi|^2 is not a Casimir on sl2r
+    J = inertia_diagonal(GroupId.SL2R, 1.0, 1.7, 2.3)
+    ep = integrate_euler_poincare(
+        GroupId.SL2R, J, AlgebraElement(GroupId.SL2R, [0.4, -0.3, 0.5]),
+        IntegratorConfig("rk4", 1e-3, 2.0))
+    energy, _ = check_conservation(J, ep)
+    assert energy.passed, energy.details
+
+
 def test_rk4_order_measured_ratio():
     res = check_rk4_order(GroupId.SO3, J123, OMEGA0,
                           IntegratorConfig("rk4", 0.1, 1.0))
@@ -251,19 +263,29 @@ def _action_case(kind, group, step=1e-2):
     ("manifold", GroupId.SO3), ("manifold", GroupId.SU2),
     ("line", GroupId.SL2R), ("line", GroupId.SU2), ("line", GroupId.SO21)])
 def test_action_equality_matches_per_sample_reference(kind, group):
-    """The array integrands equal quadratic_cost and clebsch_lagrangian
-    evaluated sample by sample, with x' by central differences."""
+    """The check's action integrals equal a sample-by-sample reference
+    written out here without the Clebsch-Lin layer: the running cost
+    (1/2) xi^T J xi, plus p r on the line or Re tr(p^H r) on the manifold,
+    with r = x' - sum_a xi_a X_a(x) and x' by central differences."""
     J, B, ext = _action_case(kind, group)
-    space = moebius_line(group) if kind == "line" else group_manifold(group)
-    xis = [AlgebraElement(group, c) for c in ext.xi]
     xdots = central_difference(ext.times, ext.x)
-    plain = quadrature(ext.times, np.array(
-        [quadratic_cost(J, xi) for xi in xis], dtype=np.complex128))
-    lifted = quadrature(ext.times, np.array(
-        [clebsch_lagrangian(space, B, J, x, p, xd, xi)
-         for x, p, xd, xi in zip(ext.x, ext.p, xdots, xis)],
-        dtype=np.complex128))
-    reference = abs(lifted - plain) / (1.0 + abs(plain))
+    if kind == "line":
+        rows = line_generator_polynomials(group, B)
+    plain, lifted = [], []
+    for x, p, xd, xi in zip(ext.x, ext.p, xdots, ext.xi):
+        cost = 0.5 * xi @ J.matrix3 @ xi
+        if kind == "line":
+            r = xd - sum(c * (row[0] + row[1] * x + row[2] * x * x)
+                         for c, row in zip(xi, rows))
+            penalty = p * r
+        else:
+            r = xd - x @ AlgebraElement(group, xi).matrix()
+            penalty = np.real(np.trace(p.conj().T @ r))
+        plain.append(cost)
+        lifted.append(cost + penalty)
+    S_plain = quadrature(ext.times, np.array(plain, dtype=np.complex128))
+    S_lifted = quadrature(ext.times, np.array(lifted, dtype=np.complex128))
+    reference = abs(S_lifted - S_plain) / (1.0 + abs(S_plain))
     res = check_action_equality(J, B, ext)
     assert reference > 1e-9
     assert res.max_residual == pytest.approx(reference, rel=1e-8)
