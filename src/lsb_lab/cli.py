@@ -6,6 +6,7 @@ message names the offending field), 2 completed run with failing checks,
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -195,5 +196,19 @@ def main(argv=None):
         return EXIT_DIVERGED
 
 
+def run(argv=None):
+    """Process entry of the ``lsb-lab`` script and ``python -m lsb_lab.cli``.
+
+    Everything imported so far (numpy, this package) lives as long as the
+    process, so it is frozen into the permanent GC generation before the
+    command runs: no collection walks it, and the final collection at
+    interpreter exit does not free it one object at a time. ``main`` never
+    touches GC state, because tests and tracers call it many times in one
+    process and a freeze there would keep each call's garbage for good.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

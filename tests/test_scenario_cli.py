@@ -1,8 +1,10 @@
 """Scenario schema, overrides, output formats, and the command-line tool."""
 
 import copy
+import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ import pytest
 
 import lsb_lab.scenario
 import lsb_lab.verify
+from lsb_lab import cli
 from lsb_lab.cli import main
 from lsb_lab.scenario import (
     Scenario,
@@ -452,18 +455,69 @@ def test_cli_outputs_deterministic(tmp_path):
         assert a == b
 
 
-def test_console_script_entry_point(tmp_path):
-    raw = _rigid(checks=["energy_conservation"])
-    path = _write(tmp_path, raw)
-    proc = subprocess.run([sys.executable, "-m", "lsb_lab.cli",
-                           "verify", path],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "PASS energy_conservation" in proc.stdout
-
-
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                      "scenarios")
+
+
+def _output_bytes(directory):
+    return {name: (directory / name).read_bytes()
+            for name in sorted(os.listdir(directory))}
+
+
+def test_console_script_entry_point(tmp_path, capsys):
+    """The process entry (`python -m lsb_lab.cli`, through `run`) and an
+    in-process `main` give the same exit code, stdout and output bytes, on
+    one rigid and one riccati su2 scenario."""
+    riccati = load_raw(os.path.join(DEMOS, "riccati_sl2r_symmetric.json"))
+    riccati.update(group="su2", checks=["cross_ratio", "action_equality",
+                                        "hamiltonian_conservation"])
+    rigid = load_raw(os.path.join(DEMOS, "rigid_body_su2.json"))
+    for name, raw in (("rigid", rigid), ("riccati", riccati)):
+        out = tmp_path / name
+        argv = ["verify", _write(tmp_path, raw, name + ".json"),
+                "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "lsb_lab.cli"] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout and proc.stderr == ""
+        from_process = _output_bytes(out)
+        assert len(from_process) == 2  # the CSV and the report
+        shutil.rmtree(out)
+
+        assert main(argv) == proc.returncode
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+        assert _output_bytes(out) == from_process
+
+
+def test_main_leaves_gc_state_alone(tmp_path):
+    # main runs many times in one test or tracing process; a freeze there
+    # would keep every earlier call's garbage for good
+    path = _write(tmp_path, _rigid(checks=["energy_conservation"]))
+    before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+    assert main(["verify", path, "--out", str(tmp_path / "o")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled(),
+            gc.get_threshold()) == before
+
+
+def test_run_freezes_the_heap_before_dispatch(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main",
+                        lambda argv=None: events.append(("main", argv)) or 2)
+    assert cli.run(["verify", "scn.json"]) == 2
+    assert events == ["freeze", ("main", ["verify", "scn.json"])]
+
+
+def test_console_script_targets_run():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "pyproject.toml")
+    with open(path, "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"lsb-lab": "lsb_lab.cli:run"}
+
+
 INTEGRATORS = ("integrate_euler_poincare", "reconstruct_group",
                "integrate_extremal", "integrate_riccati")
 

@@ -399,6 +399,118 @@ def test_hamiltonian_conservation_closes_the_costate_blind_spot(
                       "hamiltonian_conservation": scale == 1.0}
 
 
+def _scale_feedback_plus(monkeypatch, factor):
+    """Make the line march store xi_+ scaled by factor; its (x, p) flow
+    is untouched."""
+    loop = lsb_lab.dynamics._line_loop
+
+    def defective(*args):
+        control, field = loop(*args)
+
+        def scaled(x, p):
+            xi = control(x, p)
+            xi[0] *= factor
+            return xi
+        return scaled, field
+    monkeypatch.setattr("lsb_lab.dynamics._line_loop", defective)
+
+
+def _scale_reduced_field(monkeypatch, factor):
+    build = lsb_lab.dynamics._euler_poincare_field
+
+    def defective(group, J):
+        field = build(group, J)
+        return lambda *v: tuple(factor * a for a in field(*v))
+    monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_field", defective)
+
+
+def _perturb_first_inertia(monkeypatch, eps):
+    """Make the reduced march use J with its first entry times 1 + eps."""
+    build = lsb_lab.dynamics._euler_poincare_field
+
+    def defective(group, J):
+        m = J.matrix3.copy()
+        m[0, 0] *= 1.0 + eps
+        return build(group, lsb_lab.InertiaOperator(group, m))
+    monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_field", defective)
+
+
+def _third_order_stepper(monkeypatch):
+    """Kutta's third-order scheme in place of every reduced-flow step."""
+    def stepper(method, f, h):
+        def step(k, y):
+            a = f(*y)
+            b = f(*(v + 0.5 * h * da for v, da in zip(y, a)))
+            c = f(*(v + h * (2.0 * db - da) for v, da, db in zip(y, a, b)))
+            return tuple(v + h / 6.0 * (da + 4.0 * db + dc)
+                         for v, da, db, dc in zip(y, a, b, c))
+        return step
+    monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_step", stepper)
+
+
+_LINE_CHECKS = ["cross_ratio", "action_equality", "hamiltonian_conservation"]
+_RIGID_CHECKS = ["equivalence_rigid", "energy_conservation",
+                 "casimir_conservation", "rk4_order", "action_equality"]
+
+# (defect, injection, scenario kind, the check that must catch it)
+_DEFECTS = [
+    ("pdot_flipped", lambda mp: _scale_costate_rate(mp, -1.0), "line",
+     "hamiltonian_conservation"),
+    ("pdot_scaled", lambda mp: _scale_costate_rate(mp, 1.01), "line",
+     "hamiltonian_conservation"),
+    ("pdot_zero", lambda mp: _scale_costate_rate(mp, 0.0), "line",
+     "hamiltonian_conservation"),
+    ("feedback_plus", lambda mp: _scale_feedback_plus(mp, 1.0 + 1e-3),
+     "line", "action_equality"),
+    ("field_flipped", lambda mp: _scale_reduced_field(mp, -1.0), "rigid",
+     "equivalence_rigid.constraint"),
+    ("field_scaled", lambda mp: _scale_reduced_field(mp, 1.0 + 1e-3),
+     "rigid", "equivalence_rigid.constraint"),
+    ("first_inertia", lambda mp: _perturb_first_inertia(mp, 1e-4), "rigid",
+     "energy_conservation"),
+    ("third_order", _third_order_stepper, "rigid", "rk4_order"),
+]
+_DEFECT_GROUPS = {"line": ("sl2r", "su2"), "rigid": ("so3", "su2")}
+
+
+def _defect_scenario(kind, group):
+    # the demos on a coarse grid, h = 5e-3
+    name = ("riccati_sl2r_symmetric.json" if kind == "line"
+            else f"rigid_body_{group}.json")
+    raw = load_raw(os.path.join(os.path.dirname(__file__), os.pardir,
+                                "demos", "scenarios", name))
+    raw.update(group=group, step=5e-3,
+               checks=_LINE_CHECKS if kind == "line" else _RIGID_CHECKS)
+    return Scenario(raw)
+
+
+@pytest.mark.parametrize("inject,kind,group,caught_by", [
+    pytest.param(inject, kind, group, caught_by, id=f"{defect}-{group}")
+    for defect, inject, kind, caught_by in _DEFECTS
+    for group in _DEFECT_GROUPS[kind]])
+def test_defect_matrix(monkeypatch, inject, kind, group, caught_by):
+    """Each defect injected into one binding of `dynamics` fails a check
+    that passes on the true march.
+
+    Sensitivity floor, measured on these grids and not asserted:
+    - the first inertia entry times 1 + 1e-6 fails nothing: energy drift
+      1.5e-8 and Casimir drift 6e-8 against 1e-6, the constraint 8.2e-7
+      (so3) and 4.3e-6 (su2) against 2.5e-4. At 1 + 1e-4 the constraint
+      still passes (3.7e-5, 7.5e-5); energy and Casimir catch it;
+    - I_+ times 1 + eps in both the feedback and the loop makes the march a
+      true extremal of another problem. Only hamiltonian_conservation sees
+      it, with H drift about 0.17 eps on sl2r and 2.5 eps on su2, so
+      eps = 1e-6 passes on sl2r (1.7e-7) and eps = 1e-5 is caught.
+    """
+    clean = {c.name: c.passed
+             for c in run_checks(_defect_scenario(kind, group)).checks}
+    assert all(clean.values()), clean
+    inject(monkeypatch)
+    broken = {c.name: c.passed
+              for c in run_checks(_defect_scenario(kind, group)).checks}
+    assert not broken[caught_by], broken
+
+
 def test_closed_loop_audit_self_consistency():
     res = check_closed_loop_audit()
     assert res.name == "closed_loop_audit"
