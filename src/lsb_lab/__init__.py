@@ -8,140 +8,12 @@ numerical certification checks over all of it.
 """
 
 from ._version import __version__
-from .errors import (
-    DegenerateInputError,
-    DivergenceError,
-    DomainError,
-    PoleError,
-    ScenarioError,
-    UnsupportedProblemError,
-)
-from .groups import (
-    AlgebraElement,
-    GroupElement,
-    GroupId,
-    InertiaOperator,
-    basis,
-    bracket,
-    coefficients_of,
-    constraint_residual,
-    exp_map,
-    group_identity,
-    inertia_anticommutator,
-    inertia_apply,
-    inertia_diagonal,
-    inertia_solve,
-    killing_form,
-    slot_index,
-    structure_constants,
-)
-from .actions import (
-    ConnectionCoefficients,
-    StateSpace,
-    clebsch_lagrangian,
-    generator_field,
-    group_manifold,
-    infinitesimal_action,
-    line_generator_polynomials,
-    moebius_apply,
-    moebius_closure_constants,
-    moebius_line,
-    momentum_map,
-    pontryagin_hamiltonian,
-    quadratic_cost,
-    riccati_coefficients,
-)
-from .dynamics import (
-    IntegratorConfig,
-    SymmetricSolutionParams,
-    Trajectory,
-    closed_form_symmetric,
-    closed_loop_rhs,
-    euler_poincare_rhs,
-    feedback_solve,
-    integrate_euler_poincare,
-    integrate_extremal,
-    integrate_riccati,
-    lift_extremal,
-    objective_value,
-    quadrature,
-    reconstruct_group,
-)
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    central_difference,
-    check_action_equality,
-    check_closed_form,
-    check_closed_loop_audit,
-    check_conservation,
-    check_cross_ratio,
-    check_equivalence_rigid,
-    check_hamiltonian_conservation,
-    check_rk4_order,
-)
+from . import actions, dynamics, errors, groups, verify
+from .errors import *
+from .groups import *
+from .actions import *
+from .dynamics import *
+from .verify import *
 
-__all__ = [
-    "__version__",
-    "AlgebraElement",
-    "CheckResult",
-    "ConnectionCoefficients",
-    "DegenerateInputError",
-    "DivergenceError",
-    "DomainError",
-    "GroupElement",
-    "GroupId",
-    "InertiaOperator",
-    "IntegratorConfig",
-    "PoleError",
-    "ScenarioError",
-    "StateSpace",
-    "SymmetricSolutionParams",
-    "Trajectory",
-    "UnsupportedProblemError",
-    "VerificationReport",
-    "basis",
-    "bracket",
-    "central_difference",
-    "check_action_equality",
-    "check_closed_form",
-    "check_closed_loop_audit",
-    "check_conservation",
-    "check_cross_ratio",
-    "check_equivalence_rigid",
-    "check_hamiltonian_conservation",
-    "check_rk4_order",
-    "clebsch_lagrangian",
-    "closed_form_symmetric",
-    "closed_loop_rhs",
-    "coefficients_of",
-    "constraint_residual",
-    "euler_poincare_rhs",
-    "exp_map",
-    "feedback_solve",
-    "generator_field",
-    "group_identity",
-    "group_manifold",
-    "inertia_anticommutator",
-    "inertia_apply",
-    "inertia_diagonal",
-    "inertia_solve",
-    "infinitesimal_action",
-    "integrate_euler_poincare",
-    "integrate_extremal",
-    "integrate_riccati",
-    "killing_form",
-    "lift_extremal",
-    "line_generator_polynomials",
-    "moebius_apply",
-    "moebius_closure_constants",
-    "moebius_line",
-    "momentum_map",
-    "objective_value",
-    "pontryagin_hamiltonian",
-    "quadratic_cost",
-    "reconstruct_group",
-    "riccati_coefficients",
-    "slot_index",
-    "structure_constants",
-]
+__all__ = ["__version__", *errors.__all__, *groups.__all__, *actions.__all__,
+           *dynamics.__all__, *verify.__all__]

@@ -227,7 +227,7 @@ def moebius_apply(group: GroupId, g: GroupElement, x):
     """Fractional-linear action (g00 x + g01) / (g10 x + g11) on the line."""
     if group is GroupId.SO3:
         raise UnsupportedProblemError("so3 has no line action here")
-    m = g.matrix if isinstance(g, GroupElement) else np.asarray(g)
+    m = g.matrix
     den = m[1, 0] * x + m[1, 1]
     if abs(den) < 1e-300:
         raise PoleError(f"fractional-linear map has a pole at x = {x}")

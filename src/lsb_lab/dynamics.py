@@ -466,34 +466,23 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
     return replace(xi_traj, g=np.asarray(gs, dtype=group.scalar_dtype))
 
 
-def _diag_coeffs(I_coeffs) -> np.ndarray:
-    if isinstance(I_coeffs, InertiaOperator):
-        vals = I_coeffs.diagonal_coefficients()
-    else:
-        vals = np.asarray(I_coeffs, dtype=np.float64)
-        if vals.shape != (3,):
-            raise DomainError("inertia coefficients must be a 3-vector")
-    if np.any(vals == 0):
-        raise DomainError("inertia coefficients must be nonzero")
-    return vals
-
-
 def _line_point(group: GroupId, *values) -> list:
     # line states and costates as Python scalars: float on sl2r, else complex
     space = moebius_line(group)
     return [_line_scalar(space, v) for v in values]
 
 
-def _line_loop(group: GroupId, B: ConnectionCoefficients, I_coeffs):
+def _line_loop(group: GroupId, B: ConnectionCoefficients,
+               J: InertiaOperator):
     """The optimal feedback and the closed loop on the line, as closed
-    formulas on Python scalars.
+    formulas on Python scalars or on arrays of points alike.
 
-    With generators X_a(x) and the quartic Q(x) = sum_a X_a(x)^2 / I_a,
-    control(x, p) is the feedback xi_a = p X_a(x) / I_a, and field(x, p)
-    is the Hamiltonian flow of H = p^2 Q(x) / 2: xdot = p Q(x) and
-    pdot = -p^2 Q'(x) / 2.
+    With generators X_a(x), the diagonal coefficients I_a of J and the
+    quartic Q(x) = sum_a X_a(x)^2 / I_a, control(x, p) is the feedback
+    xi_a = p X_a(x) / I_a, and field(x, p) is the Hamiltonian flow of
+    H = p^2 Q(x) / 2: xdot = p Q(x) and pdot = -p^2 Q'(x) / 2.
     """
-    I = _diag_coeffs(I_coeffs)
+    I = J.diagonal_coefficients()
     rows = line_generator_polynomials(group, B)
     q = sum(np.convolve(r, r) / i for r, i in zip(rows, I))
     scalar = complex if group.is_complex else float
@@ -511,19 +500,19 @@ def _line_loop(group: GroupId, B: ConnectionCoefficients, I_coeffs):
     return control, field
 
 
-def feedback_solve(group: GroupId, B: ConnectionCoefficients, I_coeffs,
-                   x, p) -> AlgebraElement:
+def feedback_solve(group: GroupId, B: ConnectionCoefficients,
+                   J: InertiaOperator, x, p) -> AlgebraElement:
     """Optimal control on the line: xi_a = p X_a(x) / I_a.
 
     This is the stationary point of the costate Hamiltonian in the control;
     for the diagonal cost the stationarity is slot-by-slot.
     """
-    control, _ = _line_loop(group, B, I_coeffs)
+    control, _ = _line_loop(group, B, J)
     return AlgebraElement(group, control(*_line_point(group, x, p)))
 
 
-def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients, I_coeffs,
-                    x, p):
+def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients,
+                    J: InertiaOperator, x, p):
     """Feedback-substituted extremal field on the line.
 
     Substituting the optimal feedback into the control coefficients gives
@@ -531,7 +520,7 @@ def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients, I_coeffs,
     evaluated at the feedback control.  Evaluated in the equal closed form
     xdot = p Q(x), pdot = -p^2 Q'(x) / 2 with Q(x) = sum_a X_a(x)^2 / I_a.
     """
-    _, field = _line_loop(group, B, I_coeffs)
+    _, field = _line_loop(group, B, J)
     return field(*_line_point(group, x, p))
 
 
@@ -562,14 +551,14 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
     return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps)
 
 
-def lift_extremal(curve: Trajectory, x0, p0) -> Trajectory:
+def lift_extremal(curve: Trajectory, x0: GroupElement, p0) -> Trajectory:
     """The lifted extremal xdot = x xi, pdot = p xi on the group manifold.
 
     The lift solves the same linear equation as the reconstruction
     g' = g xi, so it is the group curve carried to its start point:
     x(t) = x0 g(0)^(-1) g(t) and p(t) = p0 g(0)^(-1) g(t).  curve carries
     the control samples xi and the group curve g (any g(0)); x0 is a group
-    element or matrix, p0 a matrix.  Returns curve with x and p filled in.
+    element, p0 a matrix.  Returns curve with x and p filled in.
     """
     if curve.g is None or curve.xi is None:
         raise DomainError("the lift needs control and group samples")
@@ -577,20 +566,20 @@ def lift_extremal(curve: Trajectory, x0, p0) -> Trajectory:
         raise DomainError("singular group sample at index 0")
     transport = np.linalg.solve(curve.g[0], curve.g)  # g(0)^(-1) g(t)
     dtype = curve.group.scalar_dtype
-    x0m = np.asarray(getattr(x0, "matrix", x0), dtype=dtype)
-    xs = np.einsum("ij,kjl->kil", x0m, transport)
+    xs = np.einsum("ij,kjl->kil", x0.matrix, transport)
     ps = np.einsum("ij,kjl->kil", np.asarray(p0, dtype=dtype), transport)
     return replace(curve, x=xs, p=ps)
 
 
 def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
-                      xi_traj, x0, cfg: IntegratorConfig) -> Trajectory:
+                      xi: np.ndarray, x0,
+                      cfg: IntegratorConfig) -> Trajectory:
     """Integrate the line equation driven by a fixed control curve.
 
-    ``xi_traj`` is either a Trajectory carrying control samples or a plain
-    (n+1, 3) array of control coefficients on the config grid.  All
-    solutions share one time-dependent Riccati equation, so families
-    produced by this routine admit the cross-ratio invariant.
+    ``xi`` is the (n+1, 3) array of control coefficients on the config
+    grid.  All solutions share one time-dependent Riccati equation, so a
+    family of four starts admits the cross-ratio invariant
+    (verify.check_cross_ratio).
 
     ``x0`` is one start, giving x of shape (n+1,), or a sequence of m
     starts, giving x of shape (n+1, m) with one column per start.  A family
@@ -599,14 +588,6 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     first step where any member leaves the finite range; the divergence
     error reports that earliest escape.
     """
-    if isinstance(xi_traj, Trajectory):
-        if xi_traj.xi is None:
-            raise DomainError("control samples required")
-        if abs(xi_traj.step - cfg.step) > 1e-12 * cfg.step:
-            raise DomainError("control trajectory grid does not match the config")
-        xi = xi_traj.xi
-    else:
-        xi = np.asarray(xi_traj)
     times = cfg.times()
     n = times.size
     if xi.shape != (n, 3):
@@ -693,13 +674,8 @@ def quadrature(times: np.ndarray, values: np.ndarray):
     return head + tail
 
 
-def objective_value(J, xi_traj: Trajectory):
-    """Integral of the running cost (1/2) xi^T J xi along the trajectory.
-
-    J is an inertia operator or its three diagonal coefficients.
-    """
+def objective_value(J: InertiaOperator, xi_traj: Trajectory):
+    """Integral of the running cost (1/2) xi^T J xi along the trajectory."""
     if xi_traj.xi is None:
         raise DomainError("objective needs control samples")
-    if not isinstance(J, InertiaOperator):
-        J = InertiaOperator(xi_traj.group, np.diag(_diag_coeffs(J)))
     return quadrature(xi_traj.times, quadratic_cost(J, xi_traj.xi))

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "UnsupportedProblemError",
+    "DegenerateInputError",
+    "PoleError",
+    "DivergenceError",
+    "ScenarioError",
+]
+
 
 class DomainError(ValueError):
     """An argument is outside the operation's domain (wrong group, invalid

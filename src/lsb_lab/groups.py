@@ -27,6 +27,7 @@ __all__ = [
     "InertiaOperator",
     "basis",
     "structure_constants",
+    "slot_index",
     "bracket",
     "killing_form",
     "exp_map",

@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -66,6 +65,8 @@ from .verify import (
 
 # fixed offsets generating the four-solution family for the cross-ratio
 CROSS_RATIO_OFFSETS = (0.0, 0.4, -0.4, 0.9)
+# the compare table's row count, at most
+COMPARE_ROWS = 21
 
 _TOP_FIELDS = ("group", "problem", "inertia", "connection", "initial",
                "horizon", "step", "integrator", "checks", "outputs")
@@ -109,18 +110,17 @@ class Scenario:
         conn = _parse_real_vector(raw["connection"], "connection", 3)
         self.connection = ConnectionCoefficients(conn)
 
-        self.horizon = _parse_positive(raw["horizon"], "horizon")
-        self.step = _parse_positive(raw["step"], "step")
-        if self.step > self.horizon:
+        horizon = _parse_positive(raw["horizon"], "horizon")
+        step = _parse_positive(raw["step"], "step")
+        if step > horizon:
             raise ScenarioError("step", "step must not exceed the horizon")
-        self.integrator = raw.get("integrator", "rk4")
-        if self.integrator not in METHODS:
+        integrator = raw.get("integrator", "rk4")
+        if integrator not in METHODS:
             raise ScenarioError(
                 "integrator", f"must be one of {', '.join(METHODS)}; "
-                f"got {self.integrator!r}")
+                f"got {integrator!r}")
         try:
-            self.config = IntegratorConfig(self.integrator, self.step,
-                                           self.horizon)
+            self.config = IntegratorConfig(integrator, step, horizon)
         except DomainError as e:
             raise ScenarioError("step", str(e)) from None
 
@@ -141,9 +141,8 @@ class Scenario:
     @functools.cached_property
     def reduced_flow(self):
         """Euler-Poincare flow from initial.xi0 (rigid_body problems)."""
-        return integrate_euler_poincare(
-            self.group, self.inertia,
-            AlgebraElement(self.group, self.initial["xi0"]), self.config)
+        return integrate_euler_poincare(self.group, self.inertia,
+                                        self.initial["xi0"], self.config)
 
     @functools.cached_property
     def group_curve(self):
@@ -174,9 +173,8 @@ class Scenario:
     def _line_run(self):
         try:
             return integrate_extremal(
-                moebius_line(self.group), self.connection,
-                self.inertia_coefficients, self.initial["x0"],
-                self.initial["p0"], self.config)
+                moebius_line(self.group), self.connection, self.inertia,
+                self.initial["x0"], self.initial["p0"], self.config)
         except DivergenceError as e:
             return e
 
@@ -296,7 +294,8 @@ def _parse_initial(scn, v):
         x0 = _parse_group_element(group, v["x0"], "initial.x0")
         p0 = (_parse_matrix(group, v["p0"], "initial.p0")
               if "p0" in v else None)
-        return {"xi0": np.array(xi0), "g0": g0, "x0": x0, "p0": p0}
+        return {"xi0": AlgebraElement(group, xi0), "g0": g0, "x0": x0,
+                "p0": p0}
     allowed = {"x0", "p0"}
     for key in v:
         if key not in allowed:
@@ -461,9 +460,9 @@ def simulate_columns(scn):
     return cols
 
 
-def _maybe_real(z, tol=1e-12):
+def _maybe_real(z):
     z = complex(z)
-    if abs(z.imag) <= tol * max(1.0, abs(z.real)):
+    if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
         return z.real
     return z
 
@@ -477,7 +476,7 @@ def symmetric_params_from_feedback(scn):
     connection coefficients.
     """
     I_coeffs = scn.inertia_coefficients
-    fb = feedback_solve(scn.group, scn.connection, I_coeffs,
+    fb = feedback_solve(scn.group, scn.connection, scn.inertia,
                         scn.initial["x0"], scn.initial["p0"])
     Bp, Bm, B0 = scn.connection.diag
     return SymmetricSolutionParams(
@@ -492,7 +491,7 @@ def symmetric_params_from_feedback(scn):
 # otherwise (offending field, what the check requires).
 
 def _rk4_only(scn):
-    return (None if scn.integrator == "rk4"
+    return (None if scn.config.method == "rk4"
             else ("integrator", "the rk4 integrator"))
 
 
@@ -530,7 +529,8 @@ def _conservation(scn):
 
 
 def _rk4_order(scn):
-    coarse = IntegratorConfig("rk4", scn.horizon / 10.0, scn.horizon)
+    horizon = scn.config.horizon
+    coarse = IntegratorConfig("rk4", horizon / 10.0, horizon)
     try:
         return (check_rk4_order(scn.group, scn.inertia, scn.initial["xi0"],
                                 coarse),)
@@ -551,7 +551,7 @@ def _cross_ratio(scn):
     family = integrate_riccati(
         scn.group, scn.connection, scn.line_extremal.xi,
         [scn.initial["x0"] + d for d in CROSS_RATIO_OFFSETS], scn.config)
-    return (check_cross_ratio([replace(family, x=x) for x in family.x.T]),)
+    return (check_cross_ratio(family),)
 
 
 def _line_action_equality(scn):
@@ -560,8 +560,8 @@ def _line_action_equality(scn):
 
 
 def _hamiltonian_conservation(scn):
-    return (check_hamiltonian_conservation(
-        scn.connection, scn.inertia_coefficients, scn.line_extremal),)
+    return (check_hamiltonian_conservation(scn.connection, scn.inertia,
+                                           scn.line_extremal),)
 
 
 def _closed_form(scn):
@@ -620,8 +620,8 @@ def run_checks(scn):
                               scenario_digest=scenario_digest(scn.raw))
 
 
-def compare_table(scn, max_rows=21):
-    """Closed-form vs numeric samples.
+def compare_table(scn):
+    """Closed-form vs numeric samples, at most COMPARE_ROWS rows.
 
     Returns (header, rows, escape_time); escape_time is None for a
     complete run and the estimate when the numeric loop diverged, in
@@ -643,10 +643,10 @@ def compare_table(scn, max_rows=21):
             return (_COMPARE_HEADER, [], escape)
         # the surviving prefix, as the diverged run computed it
         xs, ps = np.array(e.states, dtype=scn.group.scalar_dtype).T
-        times = np.arange(xs.size) * scn.step
+        times = np.arange(xs.size) * scn.config.step
     xf, pf = closed_form_symmetric(scn.group, params, times)
     n = times.size
-    stride = max(1, (n - 1) // (max_rows - 1)) if n > 1 else 1
+    stride = max(1, (n - 1) // (COMPARE_ROWS - 1)) if n > 1 else 1
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)

@@ -16,15 +16,14 @@ from .actions import (
     generator_field,
     group_manifold,
     infinitesimal_action,
+    line_generator_polynomials,
     moebius_line,
     quadratic_cost,
-    riccati_coefficients,
 )
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
     _line_loop,
-    _line_point,
     closed_form_symmetric,
     integrate_euler_poincare,
     quadrature,
@@ -35,7 +34,23 @@ from .groups import (
     GroupId,
     InertiaOperator,
     _BASES,
+    inertia_diagonal,
 )
+
+__all__ = [
+    "CheckResult",
+    "VerificationReport",
+    "central_difference",
+    "min_norm_costate",
+    "check_equivalence_rigid",
+    "check_cross_ratio",
+    "check_action_equality",
+    "check_closed_form",
+    "check_conservation",
+    "check_hamiltonian_conservation",
+    "check_rk4_order",
+    "check_closed_loop_audit",
+]
 
 
 @dataclass(frozen=True)
@@ -111,9 +126,9 @@ def central_difference(times, values):
     return out
 
 
-def _residual_tolerance(step, floor=1e-6, scale=10.0):
+def _residual_tolerance(step):
     # differential residuals inherit the O(h^2) stencil error
-    return max(floor, scale * step * step)
+    return max(1e-6, 10.0 * step * step)
 
 
 def _frobenius_max(arr):
@@ -165,23 +180,23 @@ def check_equivalence_rigid(J: InertiaOperator, lift):
     )
 
 
-def check_cross_ratio(trajs):
-    """Constancy of the cross-ratio along four solutions of one line flow."""
-    if len(trajs) != 4:
-        raise DomainError("exactly four trajectories required")
-    xs = [np.asarray(t.x) for t in trajs]
-    n = xs[0].size
-    for x in xs[1:]:
-        if x.size != n:
-            raise DomainError("trajectories do not share a grid")
-    starts = np.array([x[0] for x in xs])
+def check_cross_ratio(family: Trajectory):
+    """Constancy of the cross-ratio along four solutions of one line flow.
+
+    family.x holds one solution per column, shape (n+1, 4), as
+    dynamics.integrate_riccati returns the family of four starts.
+    """
+    if np.shape(family.x)[1:] != (4,):
+        raise DomainError("a family of four solutions, x of shape "
+                          "(n+1, 4), required")
+    starts = family.x[0]
     scale = max(1.0, float(np.abs(starts).max()))
     for i in range(4):
         for j in range(i + 1, 4):
             if abs(starts[i] - starts[j]) <= 1e-12 * scale:
                 raise DegenerateInputError(
                     f"solutions {i} and {j} coincide at t = 0")
-    x1, x2, x3, x4 = xs
+    x1, x2, x3, x4 = family.x.T
     cr = ((x1 - x3) * (x2 - x4)) / ((x1 - x4) * (x2 - x3))
     cr0 = cr[0]
     drift = float(np.abs(cr - cr0).max() / abs(cr0))
@@ -280,16 +295,16 @@ def check_conservation(J: InertiaOperator, traj: Trajectory):
     )
 
 
-def check_hamiltonian_conservation(B: ConnectionCoefficients, I_coeffs,
-                                   traj: Trajectory):
+def check_hamiltonian_conservation(B: ConnectionCoefficients,
+                                   J: InertiaOperator, traj: Trajectory):
     """Drift of the Hamiltonian along a line extremal.
 
     The closed loop is the Hamiltonian flow of H = p^2 Q(x) / 2 with
     Q(x) = sum_a X_a(x)^2 / I_a, so H is a first integral of a true
     extremal.  H is evaluated here on the stored (x, p) from the
-    connection's generator polynomials X_a and the inertia coefficients
-    I_a, not from the march's own field, so a wrong costate equation shows
-    as drift (the cross-ratio holds for any Riccati equation, and the
+    connection's generator polynomials X_a and the diagonal coefficients
+    I_a of J, not from the march's own field, so a wrong costate equation
+    shows as drift (the cross-ratio holds for any Riccati equation, and the
     action-equality precheck reads only x').  Reports
     max |H - H0| / (1 + |H0|).
     """
@@ -298,14 +313,14 @@ def check_hamiltonian_conservation(B: ConnectionCoefficients, I_coeffs,
                           "required")
     p = traj.p
     X = generator_field(moebius_line(traj.group), B, traj.x)
-    H = 0.5 * p * p * (X * X / np.asarray(I_coeffs)).sum(axis=1)
+    H = 0.5 * p * p * (X * X / J.diagonal_coefficients()).sum(axis=1)
     drift = float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
     return CheckResult.from_residual(
         "hamiltonian_conservation", drift, 1e-6,
         details=f"H {H[0]!r}, relative drift {drift:.6e}")
 
 
-def check_rk4_order(group: GroupId, J: InertiaOperator, xi0,
+def check_rk4_order(group: GroupId, J: InertiaOperator, xi0: AlgebraElement,
                     cfg: IntegratorConfig):
     """Terminal-error ratio between steps h and h/2 on the reduced flow.
 
@@ -318,8 +333,6 @@ def check_rk4_order(group: GroupId, J: InertiaOperator, xi0,
     """
     if cfg.method != "rk4":
         raise DomainError("order check is defined for the rk4 method")
-    if not isinstance(xi0, AlgebraElement):
-        xi0 = AlgebraElement(group, xi0)
 
     def terminal(step):
         sub = IntegratorConfig("rk4", step, cfg.horizon)
@@ -340,11 +353,22 @@ def check_rk4_order(group: GroupId, J: InertiaOperator, xi0,
                  f"(errors {e1:.3e} / {e2:.3e}, band [12, 20])"))
 
 
+# the audited closed loop: sl2r with these connection and inertia
+# coefficients, at _AUDIT_POINTS seeded points
+_AUDIT_B = (1.1, 0.7, 1.3)
+_AUDIT_I = (1.0, 2.0, 1.5)
+_AUDIT_POINTS, _AUDIT_SEED = 100, 7
+
+# The two written forms spell powers as products: one point and an array
+# of points then round alike (numpy's array power may differ from the
+# scalar one in the last bit).
+
+
 def _displayed_substituted_rhs(x, p, B: ConnectionCoefficients, I_coeffs):
     # the printed substituted system, transcribed as displayed
     Bp, Bm, B0 = B.diag
     Ip, Im, I0 = I_coeffs
-    xdot = (Bp * Bp / Ip * x ** 4 + 4.0 * B0 * B0 / I0 * x * x
+    xdot = (Bp * Bp / Ip * x * x * x * x + 4.0 * B0 * B0 / I0 * x * x
             + Bm * Bm / Im) * p
     pdot = -(2.0 * Bp * Bp / Ip + 4.0 * B0 * B0 / I0) * p * p * x
     return xdot, pdot
@@ -356,22 +380,22 @@ def _expanded_substituted_rhs(x, p, B: ConnectionCoefficients, I_coeffs):
     # the same vector field as the feedback/coefficient composition
     Bp, Bm, B0 = B.diag
     Ip, Im, I0 = I_coeffs
-    xdot = (Bm * Bm / Im * x ** 4 + 4.0 * B0 * B0 / I0 * x * x
+    xdot = (Bm * Bm / Im * x * x * x * x + 4.0 * B0 * B0 / I0 * x * x
             + Bp * Bp / Ip) * p
-    pdot = -(2.0 * Bm * Bm / Im * x ** 3 + 4.0 * B0 * B0 / I0 * x) * p * p
+    pdot = -(2.0 * Bm * Bm / Im * x * x * x + 4.0 * B0 * B0 / I0 * x) * p * p
     return xdot, pdot
 
 
-def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
-                            B: ConnectionCoefficients = None,
-                            I_coeffs=(1.0, 2.0, 1.5), n_points=100, seed=7):
-    """Audit the substituted closed loop for internal consistency.
+def check_closed_loop_audit():
+    """Audit the substituted sl2r closed loop for internal consistency.
 
     Builds the closed loop once (the feedback and field closures behind
-    feedback_solve and closed_loop_rhs), composes its stationarity solve
-    with the coefficient map at sampled (x, p) points and compares against
-    its field and against an independently hand-expanded polynomial form
-    of the same substitution; all must agree to near machine precision.
+    feedback_solve and closed_loop_rhs) at _AUDIT_B and _AUDIT_I, composes
+    its stationarity solve with the coefficient map at _AUDIT_POINTS seeded
+    (x, p) points and compares against its field and against an
+    independently hand-expanded polynomial form of the same substitution;
+    all must agree to near machine precision.  Every point is evaluated at
+    once, as arrays.
     The entry's details record where the self-consistent system departs
     from the printed substituted display (coefficient pairing on the
     quartic term and the cubic costate term) together with the measured
@@ -380,39 +404,31 @@ def check_closed_loop_audit(group: GroupId = GroupId.SL2R,
     The audit passes on self-consistency; the departures are findings,
     not failures.
     """
-    if group is not GroupId.SL2R:
-        raise DomainError("the audited display is the sl2r closed loop")
-    if B is None:
-        B = ConnectionCoefficients((1.1, 0.7, 1.3))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-2.0, 2.0, size=(n_points, 2))
+    group, B = GroupId.SL2R, ConnectionCoefficients(_AUDIT_B)
+    pts = np.random.default_rng(_AUDIT_SEED).uniform(
+        -2.0, 2.0, size=(_AUDIT_POINTS, 2))
     pts = pts[np.abs(pts[:, 1]) > 1e-3]  # keep p away from the fixed line
+    x, p = pts.T
 
-    line = moebius_line(group)
-    control, field = _line_loop(group, B, I_coeffs)
-    self_res = 0.0
-    depart_x = 0.0
-    depart_p = 0.0
-    for x, p in pts:
-        point = _line_point(group, x, p)
-        xd_direct, pd_direct = field(*point)
-        fb = AlgebraElement(group, control(*point))
-        a, b, _ = riccati_coefficients(group, fb, B)
-        xd_comp = infinitesimal_action(line, B, fb.coeffs, x)
-        pd_comp = -(2.0 * a * x + b) * p
-        xd_hand, pd_hand = _expanded_substituted_rhs(x, p, B, I_coeffs)
-        scale = max(1.0, abs(xd_direct), abs(pd_direct))
-        self_res = max(self_res,
-                       abs(xd_comp - xd_direct) / scale,
-                       abs(pd_comp - pd_direct) / scale,
-                       abs(xd_hand - xd_direct) / scale,
-                       abs(pd_hand - pd_direct) / scale)
-        xd_disp, pd_disp = _displayed_substituted_rhs(x, p, B, I_coeffs)
-        depart_x = max(depart_x, abs(xd_direct - xd_disp))
-        depart_p = max(depart_p, abs(pd_direct - pd_disp))
+    control, field = _line_loop(group, B, inertia_diagonal(group, *_AUDIT_I))
+    xd_direct, pd_direct = field(x, p)
+    fb = np.stack(control(x, p), axis=-1)
+    _, b, a = (fb @ line_generator_polynomials(group, B)).T
+    xd_comp = infinitesimal_action(moebius_line(group), B, fb, x)
+    pd_comp = -(2.0 * a * x + b) * p
+    xd_hand, pd_hand = _expanded_substituted_rhs(x, p, B, _AUDIT_I)
+    scale = np.maximum(1.0, np.maximum(abs(xd_direct), abs(pd_direct)))
+    self_res = float(max(
+        (abs(xd_comp - xd_direct) / scale).max(),
+        (abs(pd_comp - pd_direct) / scale).max(),
+        (abs(xd_hand - xd_direct) / scale).max(),
+        (abs(pd_hand - pd_direct) / scale).max()))
+    xd_disp, pd_disp = _displayed_substituted_rhs(x, p, B, _AUDIT_I)
+    depart_x = float(abs(xd_direct - xd_disp).max())
+    depart_p = float(abs(pd_direct - pd_disp).max())
 
     Bp, Bm, B0 = B.diag
-    Ip, Im, I0 = I_coeffs
+    Ip, Im, I0 = _AUDIT_I
     notes = [
         f"self-consistency residual {self_res:.3e} over {pts.shape[0]} points",
         ("departure from the printed substituted display: the derived x' "

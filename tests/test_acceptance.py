@@ -176,8 +176,9 @@ def test_symmetric_formulas_match_integrated_loop(capsys):
         pars = SYMMETRIC_PARAMS[gid]
         x0, p0 = closed_form_symmetric(gid, pars, 0.0)
         try:
-            loop = integrate_extremal(moebius_line(gid), pars.connection(),
-                                      (pars.I, pars.I, pars.I0), x0, p0, cfg)
+            loop = integrate_extremal(
+                moebius_line(gid), pars.connection(),
+                inertia_diagonal(gid, pars.I, pars.I, pars.I0), x0, p0, cfg)
         except DivergenceError:
             # a loop that escapes has no finite gap, as in verify
             gaps[gid.value] = np.inf
@@ -241,12 +242,11 @@ def test_cross_ratio_superposition_quadratic_field(capsys):
     n = cfg.n_steps + 1
     xi = np.tile([0.0, -1.0, 0.0], (n, 1))  # induced field x^2
     starts = (1.0, 2.0, 3.0, 4.0)
-    fam = [integrate_riccati(GroupId.SL2R, B_ONE, xi, s, cfg)
-           for s in starts]
+    fam = integrate_riccati(GroupId.SL2R, B_ONE, xi, starts, cfg)
     res = check_cross_ratio(fam)
     t = cfg.times()
-    exact_gap = max(float(np.abs(tr.x - s / (1.0 - s * t)).max())
-                    for s, tr in zip(starts, fam))
+    exact_gap = max(float(np.abs(x - s / (1.0 - s * t)).max())
+                    for s, x in zip(starts, fam.x.T))
     ok = res.passed and exact_gap <= 1e-6
     _emit(capsys, ok, "cross-ratio superposition",
           f"relative drift {res.max_residual:.3e} <= 1e-8 for four "

@@ -238,10 +238,9 @@ def test_quadratic_cost_pairings():
 def test_hamiltonian_stationary_at_feedback():
     from lsb_lab import feedback_solve
     line = moebius_line(GroupId.SL2R)
-    I = (1.0, 1.0, 2.0)
-    J = inertia_diagonal(GroupId.SL2R, *I)
+    J = inertia_diagonal(GroupId.SL2R, 1.0, 1.0, 2.0)
     x, p = 0.5, -1.0
-    star = feedback_solve(GroupId.SL2R, B_ONE, I, x, p).coeffs
+    star = feedback_solve(GroupId.SL2R, B_ONE, J, x, p).coeffs
     h0 = pontryagin_hamiltonian(line, B_ONE, J, x, p, star)
     rng = np.random.default_rng(37)
     for _ in range(10):

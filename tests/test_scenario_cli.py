@@ -518,6 +518,18 @@ def test_console_script_targets_run():
     assert scripts == {"lsb-lab": "lsb_lab.cli:run"}
 
 
+def test_package_exports_the_module_lists():
+    # each module's __all__ is the one list of its public names; the
+    # package concatenates them
+    import lsb_lab
+    from lsb_lab import actions, dynamics, errors, groups, verify
+    names = lsb_lab.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(lsb_lab, name) for name in names)
+    assert names == ["__version__", *errors.__all__, *groups.__all__,
+                     *actions.__all__, *dynamics.__all__, *verify.__all__]
+
+
 INTEGRATORS = ("integrate_euler_poincare", "reconstruct_group",
                "integrate_extremal", "integrate_riccati")
 
@@ -591,7 +603,7 @@ def test_rigid_costate_is_measured(tmp_path, capsys):
     # momentum x^H p - p^H x pins only the skew part of x0^H p0
     scn = Scenario(load_raw(os.path.join(DEMOS, "rigid_body_so3.json")))
     p_min = lsb_lab.verify.min_norm_costate(
-        scn.group, scn.inertia.matrix3, scn.initial["xi0"],
+        scn.group, scn.inertia.matrix3, scn.initial["xi0"].coeffs,
         scn.initial["x0"].matrix)
     doubled = _rigid_demo_with_costate(tmp_path, 2.0 * p_min)
     assert main(["verify", doubled, "--out", str(tmp_path / "a")]) == 2

@@ -67,8 +67,9 @@ def _rigid_lift(curve):
 def _symmetric_loop(group, pars, cfg):
     """The closed loop integrated from the formulas' values at t = 0."""
     x0, p0 = closed_form_symmetric(group, pars, 0.0)
-    return integrate_extremal(moebius_line(group), pars.connection(),
-                              (pars.I, pars.I, pars.I0), x0, p0, cfg)
+    return integrate_extremal(
+        moebius_line(group), pars.connection(),
+        inertia_diagonal(group, pars.I, pars.I, pars.I0), x0, p0, cfg)
 
 
 def test_check_result_consistency_enforced():
@@ -195,8 +196,8 @@ def _translation_family():
     cfg = IntegratorConfig("rk4", 1.0 / 128.0, 0.25)
     n = cfg.n_steps + 1
     xi = np.tile([1.0, 0.0, 0.0], (n, 1))  # constant drift field
-    return [integrate_riccati(GroupId.SL2R, B_ONE, xi, s, cfg)
-            for s in (0.0, 1.0, 2.0, 4.0)]
+    return integrate_riccati(GroupId.SL2R, B_ONE, xi, (0.0, 1.0, 2.0, 4.0),
+                             cfg)
 
 
 def test_cross_ratio_exact_for_translations():
@@ -209,8 +210,8 @@ def test_cross_ratio_exact_for_translations():
 def test_cross_ratio_input_checks():
     fam = _translation_family()
     with pytest.raises(DomainError):
-        check_cross_ratio(fam[:3])
-    twin = [fam[0], fam[0], fam[2], fam[3]]
+        check_cross_ratio(replace(fam, x=fam.x[:, :3]))
+    twin = replace(fam, x=fam.x[:, [0, 0, 2, 3]])
     with pytest.raises(DegenerateInputError):
         check_cross_ratio(twin)
 
@@ -373,11 +374,12 @@ def test_hamiltonian_conservation_catches_costate_defects(
         monkeypatch, group, x0, p0, scale):
     # measured drift at h = 1e-2: <= 5.1e-11 on the true loop, 3.9e-4 and
     # more with a defect
-    B, I = ConnectionCoefficients((1.1, 0.7, 1.3)), (1.0, 2.0, 1.5)
+    B = ConnectionCoefficients((1.1, 0.7, 1.3))
+    J = inertia_diagonal(group, 1.0, 2.0, 1.5)
     _scale_costate_rate(monkeypatch, scale)
-    ext = integrate_extremal(moebius_line(group), B, I, x0, p0,
+    ext = integrate_extremal(moebius_line(group), B, J, x0, p0,
                              IntegratorConfig("rk4", 1e-2, 1.0))
-    res = check_hamiltonian_conservation(B, I, ext)
+    res = check_hamiltonian_conservation(B, J, ext)
     assert res.name == "hamiltonian_conservation"
     assert res.passed == (scale == 1.0), res.details
 
@@ -523,26 +525,23 @@ def test_closed_loop_audit_self_consistency():
 
 
 def test_closed_loop_audit_matches_per_point_reference():
-    # the audit builds its closed loop once; rebuilt per point through the
-    # public closed_loop_rhs, feedback_solve and riccati_coefficients, with
-    # the audit's default inputs, the residual agrees bit for bit
+    # the audit evaluates its closed loop on all points at once; rebuilt
+    # per point through the public closed_loop_rhs, feedback_solve and
+    # riccati_coefficients, with the audit's inputs, the residual agrees
+    # bit for bit
     group, I_coeffs = GroupId.SL2R, (1.0, 2.0, 1.5)
+    J = inertia_diagonal(group, *I_coeffs)
     B = ConnectionCoefficients((1.1, 0.7, 1.3))
     pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(100, 2))
     pts = pts[np.abs(pts[:, 1]) > 1e-3]
     ref = 0.0
     for x, p in pts:
-        xd, pd = closed_loop_rhs(group, B, I_coeffs, x, p)
+        xd, pd = closed_loop_rhs(group, B, J, x, p)
         a, b, c = riccati_coefficients(
-            group, feedback_solve(group, B, I_coeffs, x, p), B)
+            group, feedback_solve(group, B, J, x, p), B)
         xd_hand, pd_hand = _expanded_substituted_rhs(x, p, B, I_coeffs)
         scale = max(1.0, abs(xd), abs(pd))
         ref = max(ref, abs(a * x * x + b * x + c - xd) / scale,
                   abs(-(2.0 * a * x + b) * p - pd) / scale,
                   abs(xd_hand - xd) / scale, abs(pd_hand - pd) / scale)
     assert check_closed_loop_audit().max_residual == ref
-
-
-def test_closed_loop_audit_rejects_other_groups():
-    with pytest.raises(DomainError):
-        check_closed_loop_audit(group=GroupId.SU2)
