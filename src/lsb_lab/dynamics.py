@@ -546,9 +546,13 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
                 _line_point(group, x0, p0), times,
                 "extremal escaped near t = {t:.6g} (last finite sample "
                 "at t = {last:.6g})", extrapolate=True)
-    xs, ps = np.array(ys, dtype=dtype).T
-    xis = np.array([control(x, p) for x, p in ys], dtype=dtype)
-    return Trajectory(group=group, times=times, xi=xis, x=xs, p=ps)
+    # one pass of the feedback over the samples as Python scalars: numpy's
+    # complex multiply may fuse a multiply-add, where the scalar feedback
+    # (feedback_solve) rounds each product
+    xs, ps = np.array(ys, dtype=object).T
+    return Trajectory(group=group, times=times,
+                      xi=np.stack(control(xs, ps), axis=-1).astype(dtype),
+                      x=xs.astype(dtype), p=ps.astype(dtype))
 
 
 def lift_extremal(curve: Trajectory, x0: GroupElement, p0) -> Trajectory:

@@ -9,11 +9,20 @@ writes, no timestamps).
 
 import copy
 import functools
-import hashlib
 import itertools
 import json
 import os
 import tempfile
+
+# hashlib loads OpenSSL's libcrypto to hash about 1 KB once per run; the
+# interpreter's built-in module gives the same digest without it
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -417,9 +426,14 @@ def _list_index(node, part, path):
 
 
 def scenario_digest(raw):
-    """Content hash of the resolved raw scenario (canonical JSON)."""
+    """Content hash of the resolved raw scenario (canonical JSON).
+
+    SHA-256 of the canonical JSON, from the interpreter's built-in module
+    (``_sha2`` on Python 3.12+, ``_sha256`` before), with
+    ``hashlib.sha256`` where neither is built; all give the same digest.
+    """
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _split_columns(name, values):

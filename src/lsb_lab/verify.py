@@ -354,10 +354,10 @@ def check_rk4_order(group: GroupId, J: InertiaOperator, xi0: AlgebraElement,
 
 
 # the audited closed loop: sl2r with these connection and inertia
-# coefficients, at _AUDIT_POINTS seeded points
+# coefficients, at the 100 points of a fixed 10 x 10 grid on [-2, 2]^2
+# (no grid point has |p| < 0.22, so none sits on the fixed line p = 0)
 _AUDIT_B = (1.1, 0.7, 1.3)
 _AUDIT_I = (1.0, 2.0, 1.5)
-_AUDIT_POINTS, _AUDIT_SEED = 100, 7
 
 # The two written forms spell powers as products: one point and an array
 # of points then round alike (numpy's array power may differ from the
@@ -391,24 +391,22 @@ def check_closed_loop_audit():
 
     Builds the closed loop once (the feedback and field closures behind
     feedback_solve and closed_loop_rhs) at _AUDIT_B and _AUDIT_I, composes
-    its stationarity solve with the coefficient map at _AUDIT_POINTS seeded
-    (x, p) points and compares against its field and against an
-    independently hand-expanded polynomial form of the same substitution;
-    all must agree to near machine precision.  Every point is evaluated at
-    once, as arrays.
+    its stationarity solve with the coefficient map at the 100 (x, p)
+    points of a fixed 10 x 10 grid on [-2, 2]^2 and compares against its
+    field and against an independently hand-expanded polynomial form of
+    the same substitution; all must agree to near machine precision.
+    Every point is evaluated at once, as arrays.
     The entry's details record where the self-consistent system departs
     from the printed substituted display (coefficient pairing on the
     quartic term and the cubic costate term) together with the measured
-    departure on the sample set, and the analogous denominator
+    departure on the grid, and the analogous denominator
     discrepancy in the printed reduced equations.
     The audit passes on self-consistency; the departures are findings,
     not failures.
     """
     group, B = GroupId.SL2R, ConnectionCoefficients(_AUDIT_B)
-    pts = np.random.default_rng(_AUDIT_SEED).uniform(
-        -2.0, 2.0, size=(_AUDIT_POINTS, 2))
-    pts = pts[np.abs(pts[:, 1]) > 1e-3]  # keep p away from the fixed line
-    x, p = pts.T
+    axis = np.linspace(-2.0, 2.0, 10)
+    x, p = (g.ravel() for g in np.meshgrid(axis, axis))
 
     control, field = _line_loop(group, B, inertia_diagonal(group, *_AUDIT_I))
     xd_direct, pd_direct = field(x, p)
@@ -430,7 +428,7 @@ def check_closed_loop_audit():
     Bp, Bm, B0 = B.diag
     Ip, Im, I0 = _AUDIT_I
     notes = [
-        f"self-consistency residual {self_res:.3e} over {pts.shape[0]} points",
+        f"self-consistency residual {self_res:.3e} over {x.size} points",
         ("departure from the printed substituted display: the derived x' "
          "pairs B-^2/I- with x^4 and B+^2/I+ with the constant term (the "
          "display swaps them), and the derived p' carries -2 B-^2/I- p^2 x^3 "

@@ -486,6 +486,21 @@ def test_line_extremal_stores_feedback_and_rhs():
             pd, abs=1e-14)
 
 
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("group,x0,p0", LINE_CASES)
+def test_line_extremal_controls_equal_per_sample_feedback(method, group, x0,
+                                                          p0):
+    # the stored controls come from one array pass over the marched
+    # samples; each row equals the feedback at that sample on scalars
+    J = inertia_diagonal(group, *LINE_I)
+    ext = integrate_extremal(moebius_line(group), LINE_B, J, x0, p0,
+                             IntegratorConfig(method, 0.01, 1.0))
+    ref = np.array([feedback_solve(group, LINE_B, J, x, p).coeffs
+                    for x, p in zip(ext.x, ext.p)])
+    assert ext.xi.dtype == ref.dtype == group.scalar_dtype
+    npt.assert_array_equal(ext.xi, ref)
+
+
 def test_line_extremal_divergence_reported():
     with pytest.raises(DivergenceError) as info:
         integrate_extremal(moebius_line(GroupId.SL2R), B_ONE,

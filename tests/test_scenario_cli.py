@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -208,6 +209,20 @@ def test_digest_tracks_content():
     assert a == b and len(a) == 64
     c = scenario_digest(apply_overrides(_riccati(), ["initial.p0=2.5"]))
     assert c != a
+
+
+@pytest.mark.parametrize("raw,overrides", [
+    (RIGID_RAW, ["initial.xi0=[0.1,-0.2,0.3]", "step=0.002"]),
+    (RICCATI_RAW, ["initial.p0=2.5", "group=su2",
+                   'checks=["cross_ratio","hamiltonian_conservation"]']),
+])
+def test_digest_is_sha256_of_canonical_json(raw, overrides):
+    # the digest comes from the interpreter's built-in SHA-256; hashlib's
+    # is the oracle for the same canonical bytes
+    raw = apply_overrides(copy.deepcopy(raw), overrides)
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    assert scenario_digest(raw) == hashlib.sha256(
+        canonical.encode("utf-8")).hexdigest()
 
 
 def test_simulate_columns_layouts():
@@ -488,6 +503,34 @@ def test_console_script_entry_point(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
         assert _output_bytes(out) == from_process
+
+
+def test_verify_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # a riccati verify with the closed-loop audit, the digest and both
+    # outputs leaves numpy.random unloaded, and OpenSSL's _hashlib too
+    # wherever the interpreter builds its own SHA-256 module
+    raw = _riccati(checks=["closed_loop_audit", "hamiltonian_conservation",
+                           "action_equality", "cross_ratio"],
+                   outputs={"trajectory_csv": "t.csv",
+                            "report_json": "r.json"})
+    code = ("import importlib.util, json, sys\n"
+            "from lsb_lab import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "loaded = [m for m in ('numpy.random', '_hashlib')"
+            " if m in sys.modules]\n"
+            "builtin = any(importlib.util.find_spec(m) is not None"
+            " for m in ('_sha2', '_sha256'))\n"
+            "print(json.dumps([status, builtin, loaded]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", _write(tmp_path, raw),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, builtin, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert (tmp_path / "out" / "r.json").exists()
+    assert "numpy.random" not in loaded
+    if builtin:
+        assert "_hashlib" not in loaded
 
 
 def test_main_leaves_gc_state_alone(tmp_path):

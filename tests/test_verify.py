@@ -1,11 +1,14 @@
 """Numerical check battery: residual gates, oracles, and error contracts."""
 
+import itertools
 import os
+import types
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import sympy as sp
 
 import lsb_lab
 from lsb_lab import (
@@ -43,8 +46,13 @@ from lsb_lab import (
     reconstruct_group,
     riccati_coefficients,
 )
+from lsb_lab.groups import basis
 from lsb_lab.scenario import Scenario, load_raw, run_checks
-from lsb_lab.verify import _expanded_substituted_rhs, min_norm_costate
+from lsb_lab.verify import (
+    _displayed_substituted_rhs,
+    _expanded_substituted_rhs,
+    min_norm_costate,
+)
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
 J123 = inertia_diagonal(GroupId.SO3, 1.0, 2.0, 3.0)
@@ -518,6 +526,7 @@ def test_closed_loop_audit_self_consistency():
     assert res.name == "closed_loop_audit"
     assert res.passed
     assert res.max_residual < 1e-14
+    assert "over 100 points" in res.details
     # the audit must surface where the two written forms disagree
     assert "departure" in res.details
     assert "x^4" in res.details
@@ -525,17 +534,16 @@ def test_closed_loop_audit_self_consistency():
 
 
 def test_closed_loop_audit_matches_per_point_reference():
-    # the audit evaluates its closed loop on all points at once; rebuilt
-    # per point through the public closed_loop_rhs, feedback_solve and
-    # riccati_coefficients, with the audit's inputs, the residual agrees
-    # bit for bit
+    # the audit evaluates its closed loop on all points of its 10 x 10 grid
+    # on [-2, 2]^2 at once; rebuilt per point through the public
+    # closed_loop_rhs, feedback_solve and riccati_coefficients, with the
+    # audit's inputs, the residual agrees bit for bit
     group, I_coeffs = GroupId.SL2R, (1.0, 2.0, 1.5)
     J = inertia_diagonal(group, *I_coeffs)
     B = ConnectionCoefficients((1.1, 0.7, 1.3))
-    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(100, 2))
-    pts = pts[np.abs(pts[:, 1]) > 1e-3]
+    axis = np.linspace(-2.0, 2.0, 10)
     ref = 0.0
-    for x, p in pts:
+    for x, p in itertools.product(axis, axis):
         xd, pd = closed_loop_rhs(group, B, J, x, p)
         a, b, c = riccati_coefficients(
             group, feedback_solve(group, B, J, x, p), B)
@@ -545,3 +553,54 @@ def test_closed_loop_audit_matches_per_point_reference():
                   abs(-(2.0 * a * x + b) * p - pd) / scale,
                   abs(xd_hand - xd) / scale, abs(pd_hand - pd) / scale)
     assert check_closed_loop_audit().max_residual == ref
+
+
+def test_substituted_loop_matches_symbolic_derivation():
+    # an independent derivation of the audited sl2r loop: the generators
+    # from the Moebius action of the basis matrices, the feedback from
+    # stationarity of H = p sum_a xi_a X_a - sum_a I_a xi_a^2 / 2, and the
+    # loop as xdot = dH/dp, pdot = -dH/dx at the feedback
+    x, p, t = sp.symbols("x p t")
+    Bs, Is = sp.symbols("B_p B_m B_0"), sp.symbols("I_p I_m I_0")
+    xis = sp.symbols("xi_p xi_m xi_0")
+    X = []
+    for E, b in zip(basis(GroupId.SL2R), Bs):
+        g = sp.eye(2) + t * b * sp.Matrix(E).applyfunc(sp.nsimplify)
+        moved = (g[0, 0] * x + g[0, 1]) / (g[1, 0] * x + g[1, 1])
+        X.append(sp.expand(sp.diff(moved, t).subs(t, 0)))
+    # the generators are the rows of line_generator_polynomials
+    B_num = (1.1, 0.7, 1.3)
+    rows = line_generator_polynomials(GroupId.SL2R,
+                                      ConnectionCoefficients(B_num))
+    for Xa, row in zip(X, rows):
+        Xa = sp.Poly(Xa.subs(dict(zip(Bs, B_num))), x)
+        coeffs = [Xa.coeff_monomial(x ** k) for k in range(3)]
+        npt.assert_array_equal(np.array(coeffs, dtype=float), row)
+
+    H = (p * sum(xi * Xa for xi, Xa in zip(xis, X))
+         - sum(i * xi ** 2 for i, xi in zip(Is, xis)) / 2)
+    feedback = sp.solve([sp.diff(H, xi) for xi in xis], xis, dict=True)
+    assert feedback == [{xi: p * Xa / i for xi, Xa, i in zip(xis, X, Is)}]
+    xdot = sp.diff(H, p).subs(feedback[0])
+    pdot = (-sp.diff(H, x)).subs(feedback[0])
+    Q = sum(Xa ** 2 / i for Xa, i in zip(X, Is))
+    assert sp.expand(xdot - p * Q) == 0
+    assert sp.expand(pdot + p ** 2 * sp.diff(Q, x) / 2) == 0
+
+    B = types.SimpleNamespace(diag=Bs)
+    xd_hand, pd_hand = _expanded_substituted_rhs(x, p, B, Is)
+    assert sp.expand(xd_hand - xdot) == 0
+    assert sp.expand(pd_hand - pdot) == 0
+
+    # the printed display differs by exactly the two swaps the audit's
+    # details name: x' exchanges the (B+, I+) and (B-, I-) terms between
+    # x^4 and the constant, and p' has -2 B+^2/I+ p^2 x in place of
+    # -2 B-^2/I- p^2 x^3
+    Bp, Bm, _ = Bs
+    Ip, Im, _ = Is
+    xd_disp, pd_disp = _displayed_substituted_rhs(x, p, B, Is)
+    swap = {Bp: Bm, Bm: Bp, Ip: Im, Im: Ip}
+    assert sp.expand(xd_disp - xdot.subs(swap, simultaneous=True)) == 0
+    assert sp.expand(xd_disp - xdot) != 0
+    assert sp.expand(pd_disp - pdot - (2 * Bm ** 2 / Im * p ** 2 * x ** 3
+                                       - 2 * Bp ** 2 / Ip * p ** 2 * x)) == 0
