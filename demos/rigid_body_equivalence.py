@@ -60,7 +60,7 @@ def main(argv=None):
     curve = reconstruct_group(GroupId.SO3, ep, x0)
     # momentum matching at t = 0 pins the skew part of x0^T p0; the
     # minimum-norm costate zeroes the rest
-    p0 = min_norm_costate(GroupId.SO3, J.matrix3, om0.coeffs, x0.matrix)
+    p0 = min_norm_costate(GroupId.SO3, J.coeffs, om0.coeffs, x0.matrix)
     lift = lift_extremal(curve, x0, p0)
     ctrl, cons = check_equivalence_rigid(J, lift)
     line("control equation residual", f"{ctrl.max_residual:.3e}")

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Symmetric-inertia extremals on the three line actions.
 
-For equal plus/minus inertia the central velocity component freezes along
-the sl2r and su2 reduced flows; the so21 reduced equation brackets the
-conjugated velocity instead and keeps no such slot at generic seeds.  On
-the hyperbolic line the outer components move on exponentials with rate
-alpha = 2 xi_0 (I0 - I) / I, and the closed-form (x, p) family uses that
-exponential ansatz on all three groups.  This script prints the derived
-constants, measures each group's reduced flow against the ansatz, and
-reports the honest sup gap between the (x, p) formulas and the integrated
-feedback-substituted loop.  The formulas do not track the loop:
-substituting the feedback into the state equation forces sign(xdot) =
-sign(p), which the decaying formula curves violate, so the gap is order
-one and for the hyperbolic seed values the loop blows up in finite time.
+The closed-form (x, p) family rests on an exponential ansatz for equal
+plus/minus inertia: a frozen central velocity component and outer
+components moving on exponentials with rate alpha = 2 xi_0 (I0 - I) / I,
+on all three groups.  The reduced flow is the Euler-Poincare (coadjoint)
+equation, and it bears the ansatz out on none of them: on su2 the central
+slot freezes but the outer slots rotate, and on sl2r and so21 the central
+slot moves as well.  This script prints the derived constants, measures
+each group's reduced flow against the ansatz, and reports the honest sup
+gap between the (x, p) formulas and the integrated feedback-substituted
+loop.  The formulas do not track the loop either: substituting the
+feedback into the state equation forces sign(xdot) = sign(p), which the
+decaying formula curves violate, so the gap is order one and for the
+hyperbolic seed values the loop blows up in finite time.  On sl2r the
+printed formulas thus solve neither the coadjoint flow nor the loop.
 """
 
 import argparse
@@ -63,7 +65,7 @@ def main(argv=None):
     print(f"  constants C0={pars.C0}, C_plus={pars.C_plus}, "
           f"C_minus={pars.C_minus}")
 
-    # reduced flow: the central slot freezes whenever I_+ = I_-
+    # the reduced flow for the symmetric inertia, against the ansatz
     J = inertia_diagonal(gid, pars.I, pars.I, pars.I0)
     cfg = IntegratorConfig("rk4", 1e-3, args.horizon)
     ep = integrate_euler_poincare(
@@ -74,19 +76,13 @@ def main(argv=None):
     gap_minus = np.abs(ep.xi[:, 1] - minus * np.exp(-pars.alpha * t)).max()
     drift0 = np.abs(ep.xi[:, 2] - ep.xi[0, 2]).max()
     print(f"  reduced flow: xi_0 drift {drift0:.3e}")
-    if gid is GroupId.SL2R:
-        # hyperbolic case: the outer slots really are exponentials
-        print(f"  reduced flow vs exponentials: gaps "
-              f"{gap_plus:.3e} / {gap_minus:.3e}")
-    elif gid is GroupId.SU2:
-        print(f"  exponential ansatz vs this group's reduced flow: gaps "
-              f"{gap_plus:.3e} / {gap_minus:.3e}")
+    print(f"  exponential ansatz vs this group's reduced flow: gaps "
+          f"{gap_plus:.3e} / {gap_minus:.3e}")
+    if gid is GroupId.SU2:
         print("  (here the outer slots rotate at rate alpha instead)")
-    else:
-        print(f"  exponential ansatz vs this group's reduced flow: gaps "
-              f"{gap_plus:.3e} / {gap_minus:.3e}")
-        print("  (this reduced equation brackets the conjugated velocity; "
-              "the central slot is not frozen at generic seeds)")
+    elif gid is GroupId.SL2R:
+        print("  (the coadjoint flow moves xi_0 as well: the formulas below "
+              "solve neither this flow nor the substituted loop)")
 
     ts = np.linspace(0.0, args.horizon, 5)
     x, p = closed_form_symmetric(gid, pars, ts)
@@ -107,8 +103,8 @@ def main(argv=None):
     print(f"  formulas vs substituted loop: sup gap {res.max_residual:.6e}, "
           f"{verdict} the {res.tolerance:g} gate")
     if not res.passed:
-        print("  (expected: the formulas solve the reduced system, "
-              "not the substituted loop)")
+        print("  (expected: the formulas do not solve the substituted "
+              "loop)")
     return 0
 
 

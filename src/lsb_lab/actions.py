@@ -196,9 +196,10 @@ def momentum_map(space: StateSpace, B: ConnectionCoefficients, x, p):
 
 
 def quadratic_cost(J: InertiaOperator, xi):
-    """Running cost (1/2) xi^T J xi of coefficient vectors on a trailing
-    axis; no conjugation, so it is holomorphic in complex coefficients."""
-    return 0.5 * np.einsum("...a,ab,...b->...", xi, J.matrix3, xi)
+    """Running cost (1/2) sum_a I_a xi_a^2 of coefficient vectors on a
+    trailing axis; no conjugation, so it is holomorphic in complex
+    coefficients."""
+    return 0.5 * np.einsum("...a,a,...a->...", xi, J.coeffs, xi)
 
 
 def pontryagin_hamiltonian(space: StateSpace, B: ConnectionCoefficients,

@@ -13,6 +13,7 @@ default; explicit Euler is available for comparison runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -33,10 +34,7 @@ from .groups import (
     GroupId,
     InertiaOperator,
     _STRUCTURE,
-    bracket,
     exp_matrices,
-    inertia_apply,
-    inertia_solve,
 )
 
 __all__ = [
@@ -188,28 +186,21 @@ class SymmetricSolutionParams:
             np.array([self.B_plus, self.B_minus, self.B_zero]))
 
 
-def _star_coeffs(c: np.ndarray) -> np.ndarray:
-    # adjoint with respect to the ambient Hermitian form, at coefficient level
-    return np.array([-np.conj(c[0]), np.conj(c[1]), np.conj(c[2])])
-
-
 def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
                        xi: AlgebraElement) -> AlgebraElement:
-    """Body-velocity derivative of the reduced free motion.
+    """Body-velocity derivative of the reduced free motion at one point.
 
-    For so3, su2, sl2r this is J^-1 [J xi, xi].  The so21 variant brackets the
-    starred velocity with J xi (star = conjugate transpose, which at the
-    coefficient level maps (c+, c-, c0) to (-conj c+, conj c-, conj c0)).
+    This is the Euler-Poincare equation in momentum form: with mu = I xi,
+    mu'_b = sum_ac C[a, b, c] xi_a mu_c for the structure constants C
+    (Marsden-Ratiu, Introduction to Mechanics and Symmetry, ch. 13).  On
+    so3 and su2, whose tables are totally antisymmetric, it is the
+    classical I^-1 [I xi, xi].  Evaluated by the closed formula that
+    integrate_euler_poincare marches (_euler_poincare_field).
     """
     if J.group is not group or xi.group is not group:
         raise DomainError("group mismatch in reduced dynamics")
-    Jxi = inertia_apply(J, xi)
-    if group is GroupId.SO21:
-        starred = AlgebraElement(group, _star_coeffs(xi.coeffs))
-        rhs = bracket(starred, Jxi)
-    else:
-        rhs = bracket(Jxi, xi)
-    return inertia_solve(J, rhs)
+    field = _euler_poincare_field(group, J)
+    return AlgebraElement(group, field(*xi.coeffs.tolist()))
 
 
 # Each flow has its own step, an advance(k, y) for _march with an explicit
@@ -220,9 +211,8 @@ def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
 # small numpy arrays or per-stage lists cost tens.  The scalars are complex
 # only where the state is: the line on sl2r and a real start of the
 # reduced flow march on floats (integrate_euler_poincare says why that is
-# exact).  The reduced field is the six-product Euler form for a diagonal
-# inertia on so3/su2 and the dense 27-term form otherwise
-# (_euler_poincare_field).
+# exact).  The reduced field is six products, generated from the nonzero
+# pattern of the coadjoint table on every group (_euler_poincare_field).
 
 def _euler_poincare_step(method: str, f, h: float):
     # xi' = f(xi_0, xi_1, xi_2), autonomous
@@ -344,60 +334,50 @@ def _march(advance, y0, times: np.ndarray, message: str,
     return ys
 
 
-# T's entries (row c, column 3a + b) outside the Euler pattern c, a, b
-# distinct: (0,1,2), (0,2,1), (1,0,2), (1,2,0), (2,0,1), (2,1,0)
-_NON_EULER = np.ones((3, 9), dtype=bool)
-_NON_EULER[[0, 0, 1, 1, 2, 2], [5, 7, 2, 6, 1, 3]] = False
+@functools.cache
+def _bilinear_field(pattern: tuple):
+    """Factory of the closure field(v0, v1, v2) whose component c is the
+    sum of v_a * (t_k * v_b) over the entries k = (c, a, b) of pattern, in
+    order.  The factory takes the coefficients t_k and binds them as the
+    closure's cells.  Compiled once per pattern."""
+    rows = [[] for _ in range(3)]
+    for k, (c, a, b) in enumerate(pattern):
+        rows[c].append(f"v{a} * (t{k} * v{b})")
+    coeffs = ", ".join(f"t{k}" for k in range(len(pattern)))
+    source = (f"def factory({coeffs}):\n"
+              f"    def field(v0, v1, v2):\n"
+              f"        return ({', '.join(' + '.join(r) for r in rows)})\n"
+              f"    return field\n")
+    namespace = {}
+    exec(compile(source, "<euler-poincare field>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _euler_poincare_field(group: GroupId, J: InertiaOperator):
     """euler_poincare_rhs as a closed formula on Python scalars.
 
-    The reduced field is bilinear, rhs_c = sum_ab T[c, a, b] u_a xi_b, with
-    u = xi (the starred xi on so21) and T = J^-1 C J built once from the
-    structure constants C.
+    With mu = I xi the field is bilinear:
+    rhs_c = sum_ab T[c, a, b] xi_a xi_b, with T[c, a, b] =
+    I_a C[b, c, a] (1 / I_c) for the structure constants C read as the
+    coadjoint table.  On all four groups each component c has exactly two
+    nonzero table entries, so the field is six products: the classical
+    Euler pattern (c, a, b distinct) on so3, su2 and so21, and a pattern of
+    its own on sl2r.  On so3 and su2, whose tables are totally
+    antisymmetric, C[b, c, a] = C[a, b, c].
 
-    Two closures serve it.  When the field is not starred and T vanishes
-    exactly outside the six entries T[c, a, b] with c, a, b distinct, as it
-    does for every diagonal J on so3 and su2, the field is the classical
-    Euler form: rhs_0 = xi_1 (T[0,1,2] xi_2) + xi_2 (T[0,2,1] xi_1) and its
-    cyclic companions.  Those are the dense formula's own nonzero products,
-    summed in its order, so both closures agree bit for bit (the dense
-    one's exact-zero terms only add signed zeros).  Every other field
-    (sl2r, starred so21, a non-diagonal J) takes the dense closure over all
-    27 entries.
+    One closure serves every group, generated from the table's nonzero
+    pattern (_bilinear_field) with the six coefficients as its cells.  Each
+    product is the dense 27-term sum's own term xi_a (T[c, a, b] xi_b),
+    summed in its order, so the two agree bit for bit except for the sign
+    of an exact zero.
     """
-    J3, C = J.matrix3, _STRUCTURE[group]
-    starred = group is GroupId.SO21
-    if starred:
-        CJ = np.einsum("abe,bd->ead", C, J3)  # [xi*, J xi]
-    else:
-        CJ = np.einsum("ad,abe->edb", J3, C)  # [J xi, xi]
-    T = np.linalg.solve(J3, CJ.reshape(3, 9))
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8), \
-        (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
-        (c0, c1, c2, c3, c4, c5, c6, c7, c8) = T.tolist()
-
-    if not starred and not T[_NON_EULER].any():
-        def euler(v0, v1, v2):
-            return (v1 * (a5 * v2) + v2 * (a7 * v1),
-                    v0 * (b2 * v2) + v2 * (b6 * v0),
-                    v0 * (c1 * v1) + v1 * (c3 * v0))
-        return euler
-
-    def field(v0, v1, v2):
-        u0, u1, u2 = (-v0.conjugate(), v1.conjugate(), v2.conjugate()) \
-            if starred else (v0, v1, v2)
-        return (u0 * (a0 * v0 + a1 * v1 + a2 * v2)
-                + u1 * (a3 * v0 + a4 * v1 + a5 * v2)
-                + u2 * (a6 * v0 + a7 * v1 + a8 * v2),
-                u0 * (b0 * v0 + b1 * v1 + b2 * v2)
-                + u1 * (b3 * v0 + b4 * v1 + b5 * v2)
-                + u2 * (b6 * v0 + b7 * v1 + b8 * v2),
-                u0 * (c0 * v0 + c1 * v1 + c2 * v2)
-                + u1 * (c3 * v0 + c4 * v1 + c5 * v2)
-                + u2 * (c6 * v0 + c7 * v1 + c8 * v2))
-    return field
+    I = J.coeffs
+    table = _STRUCTURE[group].transpose(1, 2, 0)  # table[c, a, b] = C[b, c, a]
+    # times 1 / I_c rather than divided by I_c: the two round differently
+    T = I[:, None] * table * (1.0 / I)[:, None, None]
+    nonzero = np.nonzero(table)
+    pattern = tuple(zip(*(i.tolist() for i in nonzero)))
+    return _bilinear_field(pattern)(*T[nonzero].tolist())
 
 
 def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
@@ -411,12 +391,12 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
     times = cfg.times()
     step = _euler_poincare_step(cfg.method, _euler_poincare_field(group, J),
                                 cfg.step)
-    # A real start stays real on every group (T is real, and conjugation
-    # fixes a real number), so it marches on floats, at about a third of
-    # the cost.  The real parts of the complex march see the same products
-    # and sums, so the samples agree bit for bit; only the sign of an exact
-    # zero can differ between the two arithmetics, and it reaches a sample
-    # only from a negative-zero start, which keeps the complex march.
+    # A real start stays real on every group (T is real), so it marches
+    # on floats, at about a third of the cost.  The real parts of the
+    # complex march see the same products and sums, so the samples agree
+    # bit for bit; only the sign of an exact zero can differ between the
+    # two arithmetics, and it reaches a sample only from a negative-zero
+    # start, which keeps the complex march.
     coeffs = xi0.coeffs
     parts = np.array([coeffs.real, coeffs.imag])
     if not parts[1].any() and not np.signbit(parts[parts == 0]).any():
@@ -482,7 +462,7 @@ def _line_loop(group: GroupId, B: ConnectionCoefficients,
     xi_a = p X_a(x) / I_a, and field(x, p) is the Hamiltonian flow of
     H = p^2 Q(x) / 2: xdot = p Q(x) and pdot = -p^2 Q'(x) / 2.
     """
-    I = J.diagonal_coefficients()
+    I = J.coeffs
     rows = line_generator_polynomials(group, B)
     q = sum(np.convolve(r, r) / i for r, i in zip(rows, I))
     scalar = complex if group.is_complex else float

@@ -4,7 +4,7 @@ Supported groups: SO(3) as real 3x3 rotations, SU(2) and a 2x2 complex
 realization of SO(2,1) as unitary-type groups, and SL(2,R) as real 2x2
 unimodular matrices.  Each group carries a fixed ordered basis of its Lie
 algebra, integer structure constants for that basis, a quadratic trace
-pairing, and an inertia operator acting on coefficient vectors.
+pairing, and a diagonal inertia operator acting on coefficient vectors.
 
 Coefficient slot order is (plus, minus, zero) for the three 2x2 groups and
 (axis 1, axis 2, axis 3) for SO(3).  SO(3) and SL(2,R) work over real
@@ -40,11 +40,9 @@ __all__ = [
     "inertia_apply",
     "inertia_solve",
     "CONSTRAINT_TOL",
-    "ALGEBRAIC_TOL",
 ]
 
 CONSTRAINT_TOL = 1e-10
-ALGEBRAIC_TOL = 1e-12
 
 
 class GroupId(Enum):
@@ -354,74 +352,62 @@ def coefficients_of(group: GroupId, m, *, project: bool = False,
 
 @dataclass(frozen=True)
 class InertiaOperator:
-    """Symmetric positive-shape operator on coefficient vectors.
+    """Diagonal operator on coefficient vectors: slot a is scaled by the
+    finite, nonzero coefficient coeffs[a].
 
-    Stored as the real symmetric 3x3 matrix acting on the coefficient slots.
     Build with `inertia_diagonal` or `inertia_anticommutator`.
     """
 
     group: GroupId
-    matrix3: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix3, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise DomainError(f"inertia matrix must be 3x3, got shape {m.shape}")
-        if np.abs(m - m.T).max() > ALGEBRAIC_TOL * max(1.0, np.abs(m).max()):
-            raise DomainError("inertia matrix must be symmetric")
-        if abs(np.linalg.det(m)) < 1e-14 * max(1.0, np.abs(m).max()) ** 3:
-            raise DomainError("inertia matrix must be invertible")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix3", m)
-
-    def diagonal_coefficients(self) -> np.ndarray:
-        """The slot coefficients when matrix3 is diagonal; DomainError otherwise."""
-        off = self.matrix3 - np.diag(np.diag(self.matrix3))
-        if np.abs(off).max() > ALGEBRAIC_TOL * max(1.0, np.abs(self.matrix3).max()):
-            raise DomainError("inertia operator is not diagonal in this basis")
-        return np.diag(self.matrix3).copy()
+        c = np.asarray(self.coeffs, dtype=np.float64)
+        if c.shape != (3,):
+            raise DomainError(
+                f"inertia needs 3 coefficients, got shape {c.shape}")
+        if not (np.all(np.isfinite(c)) and c.all()):
+            raise DomainError(
+                "inertia coefficients must be finite and nonzero")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
 
 def inertia_diagonal(group: GroupId, i_plus: float, i_minus: float,
                      i_zero: float) -> InertiaOperator:
-    """Diagonal inertia with the given slot coefficients (all nonzero)."""
-    entries = (i_plus, i_minus, i_zero)
-    if any(e == 0 for e in entries):
-        raise DomainError("diagonal inertia coefficients must be nonzero")
-    return InertiaOperator(group, np.diag(np.asarray(entries, dtype=np.float64)))
+    """Diagonal inertia with the given slot coefficients."""
+    return InertiaOperator(group, [i_plus, i_minus, i_zero])
 
 
 def inertia_anticommutator(group: GroupId, diag_entries) -> InertiaOperator:
-    """Coordinate matrix of xi -> D xi + xi D for D = diag(diag_entries).
+    """The inertia xi -> D xi + xi D for D = diag(diag_entries).
 
-    The anticommutator can leave the basis span by a central (identity)
-    component; the coordinate matrix is extracted from the span projection.
-    The discarded component commutes with everything, so bracket expressions
-    built from the operator are unaffected.
+    It is diagonal in each group's basis: on so3, diag(d1, d2, d3) scales the
+    axis generators by (d2 + d3, d1 + d3, d1 + d2); on the 2x2 groups,
+    diag(d1, d2) scales every basis element by d1 + d2 and adds a central
+    multiple of the identity, which leaves the span and commutes with
+    everything, so it is dropped.  The sums are Python float sums, so an
+    overflow reaches the operator's finiteness check as inf.
     """
     entries = np.asarray(diag_entries, dtype=np.float64)
     if entries.shape != (group.dim,):
         raise DomainError(
             f"anticommutator inertia needs {group.dim} diagonal entries, "
             f"got shape {entries.shape}")
-    D = np.diag(entries).astype(group.scalar_dtype)
-    cols = []
-    for ea in _BASES[group]:
-        img = D @ ea + ea @ D
-        col = coefficients_of(group, img, project=True)
-        if np.abs(np.imag(col)).max() > ALGEBRAIC_TOL:
-            raise DomainError("anticommutator inertia produced complex coordinates")
-        cols.append(np.real(col))
-    return InertiaOperator(group, np.column_stack(cols))
+    if group is GroupId.SO3:
+        d1, d2, d3 = entries.tolist()
+        return InertiaOperator(group, [d2 + d3, d1 + d3, d1 + d2])
+    d1, d2 = entries.tolist()
+    return InertiaOperator(group, [d1 + d2] * 3)
 
 
 def inertia_apply(J: InertiaOperator, xi: AlgebraElement) -> AlgebraElement:
     if J.group is not xi.group:
         raise DomainError(f"group mismatch: {J.group.value} vs {xi.group.value}")
-    return AlgebraElement(xi.group, J.matrix3 @ xi.coeffs)
+    return AlgebraElement(xi.group, J.coeffs * xi.coeffs)
 
 
 def inertia_solve(J: InertiaOperator, eta: AlgebraElement) -> AlgebraElement:
     if J.group is not eta.group:
         raise DomainError(f"group mismatch: {J.group.value} vs {eta.group.value}")
-    return AlgebraElement(eta.group, np.linalg.solve(J.matrix3, eta.coeffs))
+    return AlgebraElement(eta.group, eta.coeffs / J.coeffs)

@@ -137,13 +137,6 @@ class Scenario:
         self.checks = _parse_checks(self, raw.get("checks", []))
         self.outputs = _parse_outputs(raw.get("outputs", {}))
 
-    @property
-    def inertia_coefficients(self):
-        try:
-            return self.inertia.diagonal_coefficients()
-        except DomainError as e:
-            raise ScenarioError("inertia", str(e)) from None
-
     # Trajectories shared by the checks, the CSV and the compare table:
     # integrated on first use, at most once per scenario.
 
@@ -165,7 +158,7 @@ class Scenario:
         the minimum-norm costate matching the momentum J xi0."""
         x0, p0 = self.initial["x0"], self.initial["p0"]
         if p0 is None:
-            p0 = min_norm_costate(self.group, self.inertia.matrix3,
+            p0 = min_norm_costate(self.group, self.inertia.coeffs,
                                   self.reduced_flow.xi[0], x0.matrix)
         return lift_extremal(self.group_curve, x0, p0)
 
@@ -489,7 +482,7 @@ def symmetric_params_from_feedback(scn):
     _symmetric_family checks: equal transverse inertia and nonzero
     connection coefficients.
     """
-    I_coeffs = scn.inertia_coefficients
+    I_coeffs = scn.inertia.coeffs
     fb = feedback_solve(scn.group, scn.connection, scn.inertia,
                         scn.initial["x0"], scn.initial["p0"])
     Bp, Bm, B0 = scn.connection.diag
@@ -521,7 +514,7 @@ def _three_samples(scn):
 
 def _symmetric_family(scn):
     # the closed-form family's own domain (SymmetricSolutionParams)
-    coeffs = scn.inertia_coefficients
+    coeffs = scn.inertia.coeffs
     if abs(coeffs[0] - coeffs[1]) > 1e-12 * max(1.0, abs(coeffs[0])):
         return "inertia", "equal transverse inertia (I_plus == I_minus)"
     if np.prod(scn.connection.diag) == 0:

@@ -137,13 +137,14 @@ def _frobenius_max(arr):
     return float(np.sqrt((np.abs(flat) ** 2).sum(axis=1)).max())
 
 
-def min_norm_costate(group: GroupId, J3, xi0, x0m):
-    """Costate p0 at the state matrix x0m matching the momentum J3 xi0.
+def min_norm_costate(group: GroupId, I, xi0, x0m):
+    """Costate p0 at the state matrix x0m matching the momentum I xi0, for
+    the inertia coefficients I.
 
     Momentum matching at t = 0 pins only the skew part of x0^H p0; the
     minimum-norm choice zeroes the rest: x0^H p0 = M0 / 2.
     """
-    M0 = AlgebraElement(group, np.asarray(J3) @ np.asarray(xi0)).matrix()
+    M0 = AlgebraElement(group, np.asarray(I) * np.asarray(xi0)).matrix()
     return np.linalg.solve(np.asarray(x0m).conj().T, M0 / 2.0)
 
 
@@ -164,7 +165,7 @@ def check_equivalence_rigid(J: InertiaOperator, lift):
 
     matched = np.einsum("kij,kjl->kil", xs.conj().transpose(0, 2, 1), lift.p)
     Msamples = matched - matched.conj().transpose(0, 2, 1)
-    Jmats = np.tensordot(lift.xi @ J.matrix3.T, _BASES[group],
+    Jmats = np.tensordot(lift.xi * J.coeffs, _BASES[group],
                          axes=(1, 0)).astype(group.scalar_dtype)
     r_constraint = _frobenius_max(Msamples - Jmats)
 
@@ -281,7 +282,7 @@ def check_conservation(J: InertiaOperator, traj: Trajectory):
     if traj.xi is None:
         raise DomainError("control samples required")
     energy = quadratic_cost(J, traj.xi)
-    Jxi = traj.xi @ J.matrix3.T
+    Jxi = traj.xi * J.coeffs
     casimir = (np.abs(Jxi) ** 2).sum(axis=1)
     d_e = float(np.abs(energy - energy[0]).max())
     d_c = float(np.abs(casimir - casimir[0]).max())
@@ -313,7 +314,7 @@ def check_hamiltonian_conservation(B: ConnectionCoefficients,
                           "required")
     p = traj.p
     X = generator_field(moebius_line(traj.group), B, traj.x)
-    H = 0.5 * p * p * (X * X / J.diagonal_coefficients()).sum(axis=1)
+    H = 0.5 * p * p * (X * X / J.coeffs).sum(axis=1)
     drift = float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
     return CheckResult.from_residual(
         "hamiltonian_conservation", drift, 1e-6,

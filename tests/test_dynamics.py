@@ -8,19 +8,21 @@ import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
 
+import lsb_lab.dynamics
 from lsb_lab import (
     AlgebraElement,
     ConnectionCoefficients,
     DivergenceError,
     DomainError,
     GroupId,
-    InertiaOperator,
     IntegratorConfig,
     PoleError,
     SymmetricSolutionParams,
     Trajectory,
+    basis,
     closed_form_symmetric,
     closed_loop_rhs,
+    coefficients_of,
     euler_poincare_rhs,
     exp_map,
     feedback_solve,
@@ -37,6 +39,7 @@ from lsb_lab import (
     quadrature,
     reconstruct_group,
     riccati_coefficients,
+    structure_constants,
 )
 from lsb_lab.dynamics import (
     DIVERGENCE_CAP,
@@ -131,24 +134,63 @@ EP_CASES = [
     (GroupId.SO3, [0.8, 0.3, -0.4]),
     (GroupId.SU2, [0.6, -0.2, 0.5]),
     (GroupId.SL2R, [0.3, -0.5, 0.4]),
-    (GroupId.SO21, [0.4 + 0.1j, -0.3, 0.2 - 0.2j]),  # starred variant
+    (GroupId.SO21, [0.4 + 0.1j, -0.3, 0.2 - 0.2j]),  # complex start
 ]
 
 
-DENSE_J = [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]]
-DIAG_J = [[2.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.0]]
+EP_I = (1.3, 0.6, 2.2)
+DIAG_I = (2.0, 1.5, 1.0)
 SU2_COMPLEX_START = [0.6 + 0.1j, -0.2, 0.5 - 0.3j]
 
 
-def _euler_poincare_reference_gap(method, group, xi0, J3=DENSE_J):
+def _coadjoint_oracle(group, I):
+    """The reduced field from the basis matrices alone, as a function of
+    one coefficient array: with mu = I xi, mu'_b = sum_c mu_c
+    coeffs_c([xi, e_b]), the matrix commutators of basis(group) split by
+    coefficients_of, so mu' = ad*_xi mu."""
+    E = basis(group)
+    I = np.asarray(I, dtype=np.float64)
+
+    def f(xi):
+        X = np.tensordot(xi, E, axes=(0, 0))
+        mu = I * xi
+        return np.array([mu @ coefficients_of(group, X @ e - e @ X)
+                         for e in E]) / I
+    return f
+
+
+def _dense_field(group, I):
+    """The reduced field as the 27-term sum over the whole table
+    T[c, a, b] = I_a C[b, c, a] (1 / I_c), exact zeros included: component
+    c is sum_a xi_a (sum_b T[c, a, b] xi_b), on Python scalars."""
+    I = np.asarray(I, dtype=np.float64)
+    T = (np.einsum("a,bca->cab", I, structure_constants(group))
+         * (1.0 / I)[:, None, None])
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8), \
+        (b0, b1, b2, b3, b4, b5, b6, b7, b8), \
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8) = T.reshape(3, 9).tolist()
+
+    def field(v0, v1, v2):
+        return (v0 * (a0 * v0 + a1 * v1 + a2 * v2)
+                + v1 * (a3 * v0 + a4 * v1 + a5 * v2)
+                + v2 * (a6 * v0 + a7 * v1 + a8 * v2),
+                v0 * (b0 * v0 + b1 * v1 + b2 * v2)
+                + v1 * (b3 * v0 + b4 * v1 + b5 * v2)
+                + v2 * (b6 * v0 + b7 * v1 + b8 * v2),
+                v0 * (c0 * v0 + c1 * v1 + c2 * v2)
+                + v1 * (c3 * v0 + c4 * v1 + c5 * v2)
+                + v2 * (c6 * v0 + c7 * v1 + c8 * v2))
+    return field
+
+
+def _euler_poincare_reference_gap(method, group, xi0, I=EP_I):
     """Relative sup gap between the closed-form core and the method stepped
-    through the public per-point euler_poincare_rhs, for the inertia J3
-    (dense, non-diagonal, by default)."""
-    J = InertiaOperator(group, J3)
+    through the matrix oracle, for the inertia coefficients I."""
+    J = inertia_diagonal(group, *I)
     cfg = IntegratorConfig(method, 0.01, 1.0)
     tr = integrate_euler_poincare(group, J, AlgebraElement(group, xi0), cfg)
     ref = REFERENCES[method](
-        lambda c: euler_poincare_rhs(group, J, AlgebraElement(group, c)).coeffs,
+        _coadjoint_oracle(group, I),
         np.asarray(xi0, dtype=group.scalar_dtype), cfg.step, cfg.n_steps)
     return np.abs(tr.xi - ref).max() / max(1.0, np.abs(ref).max())
 
@@ -169,55 +211,60 @@ def test_euler_poincare_matches_reference_euler(group, xi0):
 ])
 def test_euler_poincare_diagonal_inertia_matches_reference(method, group,
                                                            xi0):
-    # a diagonal J takes the six-product Euler closure on so3 and su2 and
-    # the dense one on sl2r and so21
-    assert _euler_poincare_reference_gap(method, group, xi0, DIAG_J) <= 1e-13
+    assert _euler_poincare_reference_gap(method, group, xi0, DIAG_I) <= 1e-13
 
 
-@pytest.mark.parametrize("group,J3,six", [
-    (GroupId.SO3, DIAG_J, True),
-    (GroupId.SU2, DIAG_J, True),
-    (GroupId.SO3, DENSE_J, False),
-    (GroupId.SU2, DENSE_J, False),
-    (GroupId.SL2R, DIAG_J, False),   # T[0, 0, 2] is nonzero
-    (GroupId.SO21, DIAG_J, False),   # starred
-], ids=["so3-diag", "su2-diag", "so3-dense", "su2-dense", "sl2r-diag",
-        "so21-diag"])
-def test_euler_poincare_closure_follows_the_table(monkeypatch, group, J3,
-                                                  six):
-    """The six-product closure runs exactly where T vanishes outside the
-    Euler pattern, and there it is the dense closure with its exact-zero
-    terms dropped: equal values at every point, equal marches bit for
-    bit."""
-    J = InertiaOperator(group, J3)
+def test_euler_poincare_rhs_is_the_marched_field():
+    J = inertia_diagonal(GroupId.SL2R, *EP_I)
+    xi = AlgebraElement(GroupId.SL2R, [0.3, -0.5, 0.4])
+    npt.assert_allclose(euler_poincare_rhs(GroupId.SL2R, J, xi).coeffs,
+                        _coadjoint_oracle(GroupId.SL2R, EP_I)(xi.coeffs),
+                        rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("group", [GroupId.SO3, GroupId.SU2, GroupId.SL2R,
+                                   GroupId.SO21],
+                         ids=["so3-diag", "su2-diag", "sl2r-diag",
+                              "so21-diag"])
+def test_euler_poincare_closure_follows_the_table(monkeypatch, group):
+    """The generated six-product closure is the dense 27-term sum with its
+    exact-zero terms dropped: equal values at every point, signed-zero
+    inputs included, and equal marches bit for bit."""
+    J = inertia_diagonal(group, *DIAG_I)
     cfg = IntegratorConfig("rk4", 0.01, 1.0)
     starts = [AlgebraElement(group, xi0) for xi0 in
               ([0.8, 0.3, -0.4], [0.0, -0.0, 0.9], [-0.0, 0.5, 0.0])]
-    field = _euler_poincare_field(group, J)
+    field, dense = _euler_poincare_field(group, J), _dense_field(group, DIAG_I)
     marched = [integrate_euler_poincare(group, J, s, cfg).xi for s in starts]
-    monkeypatch.setattr("lsb_lab.dynamics._NON_EULER",
-                        np.ones((3, 9), dtype=bool))
-    dense = _euler_poincare_field(group, J)
-    # the two closures are two functions; the dense one is built twice
-    assert (field.__code__ is not dense.__code__) == six
     rng = np.random.default_rng(5)
     points = rng.uniform(-2.0, 2.0, size=(50, 3)).tolist()
-    points += [[0.0, -0.0, 0.7], [-0.0, 0.3, 0.0], [0.0, 0.0, 0.0]]
+    points += [[0.0, -0.0, 0.7], [-0.0, 0.3, 0.0], [0.0, 0.0, 0.0],
+               [-0.0, -0.0, -0.0]]
     if group.is_complex:
         points += (rng.uniform(-2.0, 2.0, size=(20, 3))
                    + 1j * rng.uniform(-2.0, 2.0, size=(20, 3))).tolist()
     for v in points:
         assert field(*v) == dense(*v)
+    monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_field",
+                        lambda g, J: _dense_field(g, J.coeffs))
     for start, xi in zip(starts, marched):
         assert (integrate_euler_poincare(group, J, start, cfg).xi.tobytes()
                 == xi.tobytes())
 
 
+def test_euler_poincare_field_is_compiled_once_per_pattern():
+    # so3, su2 and so21 share the Euler pattern; sl2r has its own
+    codes = {g: _euler_poincare_field(g, inertia_diagonal(g, *I)).__code__
+             for g in GroupId for I in (EP_I, DIAG_I)}
+    assert len(set(codes.values())) == 2
+    assert codes[GroupId.SO3] is codes[GroupId.SU2] is codes[GroupId.SO21]
+    assert codes[GroupId.SL2R] is not codes[GroupId.SO3]
+
+
 def _complex_march(group, J, xi0, cfg):
     # the reduced flow marched on complex scalars whatever the start
-    ys = _march(_euler_poincare_step(cfg.method,
-                                     _euler_poincare_field(group, J),
-                                     cfg.step),
+    field = lsb_lab.dynamics._euler_poincare_field(group, J)
+    ys = _march(_euler_poincare_step(cfg.method, field, cfg.step),
                 [complex(c) for c in xi0.coeffs], cfg.times(), "{t}")
     ys = np.array(ys, dtype=np.complex128)
     return ys if group.is_complex else ys.real
@@ -225,12 +272,19 @@ def _complex_march(group, J, xi0, cfg):
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("group", list(GroupId))
-@pytest.mark.parametrize("J3", [DIAG_J, DENSE_J], ids=["diag", "dense"])
-def test_real_start_marches_like_the_complex_march(method, group, J3):
+@pytest.mark.parametrize("form", ["diag", "dense"])
+def test_real_start_marches_like_the_complex_march(monkeypatch, method,
+                                                   group, form):
     """A real start marches on floats; the samples equal the complex
     march's bit for bit, zero signs included.  A start holding a negative
-    zero keeps the complex march, whose signed-zero arithmetic differs."""
-    J = InertiaOperator(group, J3)
+    zero keeps the complex march, whose signed-zero arithmetic differs.
+    The dense form marches the 27-term sum in place of the generated
+    closure: its exact-zero terms make signed zeros of their own, and the
+    agreement holds for it too."""
+    if form == "dense":
+        monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_field",
+                            lambda g, J: _dense_field(g, J.coeffs))
+    J = inertia_diagonal(group, *DIAG_I)
     cfg = IntegratorConfig(method, 0.01, 1.0)
     for xi0 in ([0.6, -0.2, 0.5], [0.0, 0.0, 0.9], [0.7, 0.0, -0.0],
                 [-0.0, 0.4, 0.0]):
@@ -252,7 +306,7 @@ def test_su2_real_start_stays_real():
 
 def test_su2_complex_start_marches_complex():
     # its reference gap is one of the diagonal-inertia cases above
-    J = InertiaOperator(GroupId.SU2, DIAG_J)
+    J = inertia_diagonal(GroupId.SU2, *DIAG_I)
     xi = integrate_euler_poincare(
         GroupId.SU2, J, AlgebraElement(GroupId.SU2, SU2_COMPLEX_START),
         IntegratorConfig("rk4", 0.01, 1.0)).xi

@@ -14,6 +14,7 @@ from lsb_lab import (
     DomainError,
     GroupElement,
     GroupId,
+    InertiaOperator,
     basis,
     bracket,
     coefficients_of,
@@ -297,16 +298,43 @@ def test_inertia_anticommutator_so3():
     # D ea + ea D acts on the axis basis as the classical pair sums
     d1, d2, d3 = 0.7, 1.3, 2.1
     J = inertia_anticommutator(GroupId.SO3, [d1, d2, d3])
-    npt.assert_allclose(J.matrix3, np.diag([d2 + d3, d1 + d3, d1 + d2]),
-                        atol=1e-14)
+    npt.assert_array_equal(J.coeffs, [d2 + d3, d1 + d3, d1 + d2])
 
 
 def test_inertia_anticommutator_su2_central():
     # the su2 anticommutator is scalar: (i1 + i2) times the identity
     J = inertia_anticommutator(GroupId.SU2, [0.9, 1.7])
-    npt.assert_allclose(J.matrix3, 2.6 * np.eye(3), atol=1e-14)
+    npt.assert_array_equal(J.coeffs, [0.9 + 1.7] * 3)
     with pytest.raises(DomainError):
         inertia_anticommutator(GroupId.SU2, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("group", list(GroupId))
+def test_inertia_anticommutator_is_the_matrix_map(group):
+    """The closed formula is the coordinate matrix of xi -> D xi + xi D,
+    read column by column from the span projection of each image."""
+    rng = np.random.default_rng(11)
+    for d in rng.uniform(-3.0, 3.0, (200, group.dim)):
+        D = np.diag(d)
+        ref = [coefficients_of(group, D @ e + e @ D, project=True)
+               for e in basis(group)]
+        npt.assert_allclose(np.diag(inertia_anticommutator(group, d).coeffs),
+                            np.column_stack(ref), atol=1e-14)
+
+
+def test_inertia_coefficients_finite_and_nonzero():
+    # the operator's constructor is the one place that checks them; an
+    # anticommutator sum that overflows reaches it as inf
+    for bad in ([1e308, 1e308], [1.0, -1.0]):
+        with pytest.raises(DomainError, match="finite and nonzero"):
+            inertia_anticommutator(GroupId.SU2, bad)
+    with pytest.raises(DomainError, match="finite and nonzero"):
+        inertia_anticommutator(GroupId.SO3, [1e308, 1e308, 1.0])
+    for bad in ([np.inf, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, 0.0]):
+        with pytest.raises(DomainError, match="finite and nonzero"):
+            inertia_diagonal(GroupId.SO3, *bad)
+    with pytest.raises(DomainError, match="3 coefficients"):
+        InertiaOperator(GroupId.SO3, [1.0, 2.0])
 
 
 def test_group_mismatch_rejected():

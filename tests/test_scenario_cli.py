@@ -84,7 +84,7 @@ def _field_of(excinfo):
 def test_scenario_parses_minimal_inputs():
     scn = Scenario(_rigid())
     assert scn.problem == "rigid_body"
-    npt.assert_allclose(scn.inertia_coefficients, [1.0, 2.0, 3.0])
+    npt.assert_array_equal(scn.inertia.coeffs, [1.0, 2.0, 3.0])
     scn = Scenario(_riccati())
     assert scn.initial["x0"] == 0.5 and scn.initial["p0"] == -1.0
 
@@ -396,6 +396,25 @@ def test_cli_compare_outside_the_symmetric_family(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("demo,entries", [
+    ("rigid_body_su2.json", [1e308, 1e308]),
+    ("rigid_body_so3.json", [1e308, 1e308, 1.0]),
+    ("rigid_body_su2.json", [1, -1]),
+], ids=["su2-overflow", "so3-overflow", "su2-singular"])
+def test_cli_anticommutator_inertia_input_error(tmp_path, capsys, demo,
+                                                entries):
+    # a sum that overflows is an input error, like a zero one: the
+    # operator is refused before any march, not reported as a divergence
+    inertia = json.dumps({"anticommutator": entries})
+    assert main(["verify", os.path.join(DEMOS, demo), "--set",
+                 f"inertia={inertia}", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == ("input error: inertia.anticommutator: "
+                                   "inertia coefficients must be finite "
+                                   "and nonzero")
+    assert "Traceback" not in err
+
+
 def test_cli_input_error_paths(tmp_path, capsys):
     path = _write(tmp_path, _rigid())
     assert main(["simulate", path, "--step", "2.0"]) == 1
@@ -646,7 +665,7 @@ def test_rigid_costate_is_measured(tmp_path, capsys):
     # momentum x^H p - p^H x pins only the skew part of x0^H p0
     scn = Scenario(load_raw(os.path.join(DEMOS, "rigid_body_so3.json")))
     p_min = lsb_lab.verify.min_norm_costate(
-        scn.group, scn.inertia.matrix3, scn.initial["xi0"].coeffs,
+        scn.group, scn.inertia.coeffs, scn.initial["xi0"].coeffs,
         scn.initial["x0"].matrix)
     doubled = _rigid_demo_with_costate(tmp_path, 2.0 * p_min)
     assert main(["verify", doubled, "--out", str(tmp_path / "a")]) == 2

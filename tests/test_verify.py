@@ -68,7 +68,7 @@ def _rigid_curve(cfg):
 def _rigid_lift(curve):
     """The curve carried to the identity with the minimum-norm costate."""
     x0 = group_identity(GroupId.SO3)
-    p0 = min_norm_costate(GroupId.SO3, J123.matrix3, OMEGA0.coeffs, x0.matrix)
+    p0 = min_norm_costate(GroupId.SO3, J123.coeffs, OMEGA0.coeffs, x0.matrix)
     return lift_extremal(curve, x0, p0)
 
 
@@ -169,18 +169,24 @@ def test_conservation_drift_at_roundoff():
     assert casimir.max_residual < 1e-13
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the reduced field J^-1 [J xi, xi] with the coefficient dot product is "
-    "not the Euler-Poincare equation on the non-compact sl2r: the energy "
-    "drifts by 34.03 against the 1e-6 gate"))
-def test_euler_poincare_conserves_energy_on_sl2r():
-    # energy only: |J xi|^2 is not a Casimir on sl2r
-    J = inertia_diagonal(GroupId.SL2R, 1.0, 1.7, 2.3)
+@pytest.mark.parametrize("group", list(GroupId))
+def test_euler_poincare_conserves_energy_and_trace_casimir(group):
+    """The energy and the trace-form Casimir mu^T K^-1 mu, with mu = I xi
+    and K_ab = tr(E_a E_b), are first integrals of the coadjoint flow on
+    every group.  |I xi|^2, which check_conservation reports, is a Casimir
+    only on so3 and su2."""
+    I = np.array([1.0, 1.7, 2.3])
+    J = inertia_diagonal(group, *I)
     ep = integrate_euler_poincare(
-        GroupId.SL2R, J, AlgebraElement(GroupId.SL2R, [0.4, -0.3, 0.5]),
+        group, J, AlgebraElement(group, [0.4, -0.3, 0.5]),
         IntegratorConfig("rk4", 1e-3, 2.0))
     energy, _ = check_conservation(J, ep)
-    assert energy.passed, energy.details
+    assert energy.max_residual <= 1e-12, energy.details
+    E = basis(group)
+    mu = ep.xi * I
+    casimir = np.einsum("na,ab,nb->n", mu,
+                        np.linalg.inv(np.einsum("aij,bji->ab", E, E)), mu)
+    assert np.abs(casimir - casimir[0]).max() <= 1e-12
 
 
 def test_rk4_order_measured_ratio():
@@ -227,7 +233,8 @@ def test_cross_ratio_input_checks():
 def test_action_equality_on_rigid_lift():
     cfg = IntegratorConfig("rk4", 1e-3, 1.0)
     x0 = group_identity(GroupId.SO3)
-    p0 = 0.5 * AlgebraElement(GroupId.SO3, J123.matrix3 @ OMEGA0.coeffs).matrix()
+    p0 = 0.5 * AlgebraElement(GroupId.SO3,
+                              J123.coeffs * OMEGA0.coeffs).matrix()
     ext = lift_extremal(_rigid_curve(cfg), x0, p0)
     res = check_action_equality(J123, B_ONE, ext)
     assert res.passed
@@ -282,7 +289,7 @@ def test_action_equality_matches_per_sample_reference(kind, group):
         rows = line_generator_polynomials(group, B)
     plain, lifted = [], []
     for x, p, xd, xi in zip(ext.x, ext.p, xdots, ext.xi):
-        cost = 0.5 * xi @ J.matrix3 @ xi
+        cost = 0.5 * xi @ (J.coeffs * xi)
         if kind == "line":
             r = xd - sum(c * (row[0] + row[1] * x + row[2] * x * x)
                          for c, row in zip(xi, rows))
@@ -435,13 +442,14 @@ def _scale_reduced_field(monkeypatch, factor):
 
 
 def _perturb_first_inertia(monkeypatch, eps):
-    """Make the reduced march use J with its first entry times 1 + eps."""
+    """Make the reduced march use J with its first coefficient times
+    1 + eps."""
     build = lsb_lab.dynamics._euler_poincare_field
 
     def defective(group, J):
-        m = J.matrix3.copy()
-        m[0, 0] *= 1.0 + eps
-        return build(group, lsb_lab.InertiaOperator(group, m))
+        I = J.coeffs.copy()
+        I[0] *= 1.0 + eps
+        return build(group, lsb_lab.InertiaOperator(group, I))
     monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_field", defective)
 
 
