@@ -209,10 +209,13 @@ def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
 # arguments, so a stage builds no list and runs no loop: at two or three
 # components, scalar arithmetic costs a few microseconds per step where
 # small numpy arrays or per-stage lists cost tens.  The scalars are complex
-# only where the state is: the line on sl2r and a real start of the
-# reduced flow march on floats (integrate_euler_poincare says why that is
-# exact).  The reduced field is six products, generated from the nonzero
-# pattern of the coadjoint table on every group (_euler_poincare_field).
+# only where the state is.  The reduced flow, the line closed loop and a
+# family driven by real coefficient rows have real coefficients on every
+# group, so a real start of any of them marches on floats (_real_start
+# says why that is exact); on su2 and so21 only a start with a nonzero
+# imaginary part or a negative zero marches on complex scalars.  The
+# reduced field is six products, generated from the nonzero pattern of the
+# coadjoint table on every group (_euler_poincare_field).
 
 def _euler_poincare_step(method: str, f, h: float):
     # xi' = f(xi_0, xi_1, xi_2), autonomous
@@ -285,6 +288,27 @@ def _riccati_step(method: str, ends: list, mids: list, h: float):
             out.append(x + h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4))
         return out
     return step
+
+
+def _real_start(values: list) -> list:
+    """The start of a march whose flow has real coefficients, on floats
+    where that is exact.
+
+    Such a flow keeps a real start real, so the start marches on Python
+    floats, at about half the cost of complex scalars, when every value has
+    an imaginary part of exactly +0.0 and no part that is a negative zero.
+    The samples agree bit for bit with the complex march: its imaginary
+    parts start at +0.0 and every update adds only +-0 to them, so they stay
+    +0.0, and its real parts see the same products and sums.  Only the sign
+    of an exact zero can differ between the two arithmetics, and it reaches
+    a sample only from a negative-zero start, which keeps its scalars, as
+    does a start with a nonzero imaginary part.
+    """
+    for v in values:
+        if (v.imag != 0 or math.copysign(1.0, v.imag) < 0
+                or (v.real == 0 and math.copysign(1.0, v.real) < 0)):
+            return values
+    return [v.real for v in values]
 
 
 def _modulus(v) -> float:
@@ -391,17 +415,8 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
     times = cfg.times()
     step = _euler_poincare_step(cfg.method, _euler_poincare_field(group, J),
                                 cfg.step)
-    # A real start stays real on every group (T is real), so it marches
-    # on floats, at about a third of the cost.  The real parts of the
-    # complex march see the same products and sums, so the samples agree
-    # bit for bit; only the sign of an exact zero can differ between the
-    # two arithmetics, and it reaches a sample only from a negative-zero
-    # start, which keeps the complex march.
-    coeffs = xi0.coeffs
-    parts = np.array([coeffs.real, coeffs.imag])
-    if not parts[1].any() and not np.signbit(parts[parts == 0]).any():
-        coeffs = coeffs.real
-    ys = _march(step, coeffs.tolist(), times,
+    # the field's coefficients T are real on every group
+    ys = _march(step, _real_start(xi0.coeffs.tolist()), times,
                 "body velocity left the finite range near t = {t:.6g}")
     return Trajectory(group=group, times=times,
                       xi=np.array(ys, dtype=group.scalar_dtype))
@@ -461,13 +476,18 @@ def _line_loop(group: GroupId, B: ConnectionCoefficients,
     quartic Q(x) = sum_a X_a(x)^2 / I_a, control(x, p) is the feedback
     xi_a = p X_a(x) / I_a, and field(x, p) is the Hamiltonian flow of
     H = p^2 Q(x) / 2: xdot = p Q(x) and pdot = -p^2 Q'(x) / 2.
+
+    Each generator row is purely real or purely imaginary, so Q's
+    coefficients are real on every group and held as floats: the loop
+    marches a real start on floats, and a complex operand promotes a
+    coefficient q to complex(q, 0.0).
     """
     I = J.coeffs
     rows = line_generator_polynomials(group, B)
     q = sum(np.convolve(r, r) / i for r, i in zip(rows, I))
     scalar = complex if group.is_complex else float
     gens = [[scalar(c) for c in r / i] for r, i in zip(rows, I)]
-    q0, q1, q2, q3, q4 = map(scalar, q)
+    q0, q1, q2, q3, q4 = q.real.tolist()
     d1, d2, d3 = 2.0 * q2, 3.0 * q3, 4.0 * q4
 
     def control(x, p):
@@ -523,7 +543,7 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
     dtype = group.scalar_dtype
     control, field = _line_loop(group, B, J)
     ys = _march(_line_step(cfg.method, field, cfg.step),
-                _line_point(group, x0, p0), times,
+                _real_start(_line_point(group, x0, p0)), times,
                 "extremal escaped near t = {t:.6g} (last finite sample "
                 "at t = {last:.6g})", extrapolate=True)
     # one pass of the feedback over the samples as Python scalars: numpy's
@@ -577,11 +597,15 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     if xi.shape != (n, 3):
         raise DomainError("control samples do not match the config grid")
     polys = xi @ line_generator_polynomials(group, B)  # rows (c0, c1, c2)
+    family = np.ndim(x0) == 1
+    start = _line_point(group, *(x0 if family else [x0]))
+    if not polys.imag.any():  # real rows keep a real start real
+        start = _real_start(start)
+        if isinstance(start[0], float):
+            polys = polys.real
     ends = polys.tolist()
     mids = (0.5 * (polys[:-1] + polys[1:])).tolist()
-    family = np.ndim(x0) == 1
-    ys = _march(_riccati_step(cfg.method, ends, mids, cfg.step),
-                _line_point(group, *(x0 if family else [x0])), times,
+    ys = _march(_riccati_step(cfg.method, ends, mids, cfg.step), start, times,
                 "line solution escaped near t = {t:.6g}", extrapolate=True)
     xs = np.array(ys, dtype=group.scalar_dtype)
     return Trajectory(group=group, times=times, xi=np.array(xi, copy=True),

@@ -355,6 +355,12 @@ def load_raw(path):
             return json.load(f)
     except FileNotFoundError:
         raise ScenarioError(str(path), "scenario file not found") from None
+    except OSError as e:
+        raise ScenarioError(str(path), "cannot read scenario file: "
+                            f"{e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ScenarioError(str(path), "scenario file is not UTF-8 text: "
+                            f"{e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(str(path), f"invalid JSON: {e}") from None
 

@@ -148,7 +148,7 @@ def test_rigid_body_equivalence_and_conservation(capsys):
     _emit(capsys, ok, "rigid-body equivalence",
           f"control residual {ctrl.max_residual:.3e} <= 1e-5, constraint "
           f"residual {cons.max_residual:.3e} <= 1e-5; over T=10: energy "
-          f"drift {energy.max_residual:.3e} and squared-momentum drift "
+          f"drift {energy.max_residual:.3e} and Casimir drift "
           f"{casimir.max_residual:.3e} <= 1e-6")
     assert ok
 

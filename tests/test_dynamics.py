@@ -1,6 +1,7 @@
 """Reduced flows, reconstruction, extremals, closed forms, quadrature."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from lsb_lab import (
     integrate_extremal,
     integrate_riccati,
     lift_extremal,
+    line_generator_polynomials,
     moebius_line,
     objective_value,
     quadrature,
@@ -45,8 +47,11 @@ from lsb_lab.dynamics import (
     DIVERGENCE_CAP,
     _euler_poincare_field,
     _euler_poincare_step,
+    _line_loop,
+    _line_step,
     _march,
     _modulus,
+    _riccati_step,
 )
 
 B_ONE = ConnectionCoefficients.maurer_cartan()
@@ -694,6 +699,109 @@ def test_driven_line_family_reports_earliest_escape():
     assert first_listed[0] == pytest.approx(0.8, abs=2e-3)
     assert family[0] != first_listed[0]
     assert family[1] != first_listed[1]
+
+
+def _spy_starts(monkeypatch):
+    """Record the scalar types of every start that dynamics._march gets."""
+    starts = []
+
+    def spy(advance, y0, *args, **kwargs):
+        starts.append({type(v) for v in y0})
+        return _march(advance, y0, *args, **kwargs)
+    monkeypatch.setattr("lsb_lab.dynamics._march", spy)
+    return starts
+
+
+def _complex_line_marches(group, B, J, x0, p0, starts, cfg):
+    """The line extremal from (x0, p0) and the family driven by its
+    controls, both marched on complex scalars whatever the start, through
+    the same step functions as the package."""
+    control, field = _line_loop(group, B, J)
+    ys = _march(_line_step(cfg.method, field, cfg.step),
+                [complex(x0), complex(p0)], cfg.times(), "{t}{last}")
+    xs, ps = np.array(ys, dtype=object).T
+    xi = np.stack(control(xs, ps), axis=-1).astype(np.complex128)
+    polys = xi @ line_generator_polynomials(group, B)
+    step = _riccati_step(cfg.method, polys.tolist(),
+                         (0.5 * (polys[:-1] + polys[1:])).tolist(), cfg.step)
+    family = _march(step, [complex(v) for v in starts], cfg.times(), "{t}")
+    return (xs.astype(np.complex128), ps.astype(np.complex128), xi,
+            np.array(family, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("group", [GroupId.SU2, GroupId.SO21])
+def test_real_line_start_marches_like_the_complex_march(monkeypatch, method,
+                                                        group):
+    """On su2 and so21 a real (x0, p0) marches the line extremal on floats,
+    and so does the four-member family its controls drive, whose
+    coefficient rows are then real.  The stored samples keep the complex
+    dtype and equal the complex marches' bit for bit.  Inputs are drawn
+    from the ranges of the benchmark's riccati ops."""
+    rng = np.random.default_rng(23)
+    cfg = IntegratorConfig(method, 1e-3, 0.5)
+    starts = _spy_starts(monkeypatch)
+    for _ in range(3):
+        inertia = rng.uniform(1.0, 2.0)
+        J = inertia_diagonal(group, inertia, inertia, rng.uniform(1.0, 3.0))
+        B = ConnectionCoefficients(rng.uniform(0.6, 1.4, size=3))
+        x0 = float(rng.uniform(-0.4, 0.4))
+        p0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.4))
+        members = [x0 + d for d in (0.0, 0.4, -0.4, 0.9)]
+        ext = integrate_extremal(moebius_line(group), B, J, x0, p0, cfg)
+        fam = integrate_riccati(group, B, ext.xi, members, cfg)
+        marched = (ext.x, ext.p, ext.xi, fam.x)
+        for got, want in zip(marched, _complex_line_marches(
+                group, B, J, x0, p0, members, cfg)):
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+    # both of the package's marches started on floats at every draw
+    assert starts == [{float}, {float}] * 3
+
+
+# sha256 of x, p and xi (in that order) of the line extremal at h = 1e-2
+# over 1 with B = (1.1, 0.7, 1.3) and I = (1.4, 1.4, 2.2): the complex
+# march's bytes, pinned so that the real-start rule cannot move them
+_COMPLEX_START_DIGESTS = {
+    (GroupId.SU2, 0.3 + 0.2j, -0.25):
+        "03a0f13bd6747d415e9bad7a387778eda183e1f7fff02a0033c312d4944a0163",
+    (GroupId.SU2, complex(0.3, -0.0), -0.25):
+        "4e38c254f7c3314b6282cbad5210e0bc70632dde1838c1ced9ff298dd9317a13",
+    (GroupId.SU2, -0.0, 0.25):
+        "6ecd39ba05f3c948db1f01ec0e0c70e8471f07ae4c326cf703f5108505e3c31b",
+    (GroupId.SO21, 0.3 + 0.2j, -0.25):
+        "9dae15a0d7c4f238722cafae8a8cf44b24b6aec0eb017424b1b9a0cdf432c859",
+    (GroupId.SO21, complex(0.3, -0.0), -0.25):
+        "3050f10ff6533a72e7dec7225a801ad0ca8d6cf7b1712a8a7d0a978805c7ba80",
+    (GroupId.SO21, -0.0, 0.25):
+        "7ba755c7a16ef601968137d72d72266f1449523bc4c5d67e8c51dafae7d7b753",
+}
+
+
+@pytest.mark.parametrize("group,x0,p0", list(_COMPLEX_START_DIGESTS),
+                         ids=[f"{g}-{kind}" for g in ("su2", "so21")
+                              for kind in ("imaginary", "negative-zero-imag",
+                                           "negative-zero-real")])
+def test_complex_line_start_keeps_the_complex_march(monkeypatch, group, x0,
+                                                    p0):
+    """A start with a nonzero imaginary part or a negative-zero part marches
+    the extremal and its family on complex scalars, with the bytes the
+    complex march has always written."""
+    cfg = IntegratorConfig("rk4", 1e-2, 1.0)
+    B = ConnectionCoefficients((1.1, 0.7, 1.3))
+    J = inertia_diagonal(group, 1.4, 1.4, 2.2)
+    # x0 itself, since x0 + 0.0 is +0.0 where x0 holds a negative zero
+    members = [x0] + [x0 + d for d in (0.4, -0.4, 0.9)]
+    starts = _spy_starts(monkeypatch)
+    ext = integrate_extremal(moebius_line(group), B, J, x0, p0, cfg)
+    fam = integrate_riccati(group, B, ext.xi, members, cfg)
+    assert starts == [{complex}, {complex}]
+    digest = hashlib.sha256(ext.x.tobytes() + ext.p.tobytes()
+                            + ext.xi.tobytes()).hexdigest()
+    assert digest == _COMPLEX_START_DIGESTS[group, x0, p0]
+    for got, want in zip((ext.x, ext.p, ext.xi, fam.x), _complex_line_marches(
+            group, B, J, x0, p0, members, cfg)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_feedback_solve_pinned_values():

@@ -425,6 +425,26 @@ def test_cli_input_error_paths(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_unreadable_scenario_is_an_input_error(tmp_path, capsys):
+    # a directory, or a file whose bytes are not UTF-8 (here a UTF-16 byte
+    # order mark), is refused like a missing file, in every command
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    cases = [(str(tmp_path), "cannot read scenario file: "),
+             (str(not_utf8), "scenario file is not UTF-8 text: ")]
+    for path, message in cases:
+        with pytest.raises(ScenarioError, match=message) as info:
+            load_raw(path)
+        assert info.value.field_path == path
+        for command in ("simulate", "verify", "compare"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {path}: {message}")
+        assert main(["sweep", path, "--param", "step",
+                     "--values=0.01"]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_divergence_exit(tmp_path, capsys):
     path = _write(tmp_path, _riccati(integrator="euler",
                                      initial={"x0": 0.5, "p0": 1.0}))
