@@ -43,6 +43,21 @@ def fmt(v, signed=False):
     return f"({v.real:g}{v.imag:+g}j)"
 
 
+def closure_residual(rows, tensor):
+    """Largest coefficient of [X_a, X_b] - sum_c tensor[a, b, c] X_c over
+    all slot pairs, for the line fields X_a(x) = rows[a] . (1, x, x^2) and
+    their commutator [X, Y] = X Y' - Y X'."""
+    P = np.polynomial.polynomial
+    worst = 0.0
+    for a in range(3):
+        for b in range(3):
+            comm = P.polysub(P.polymul(rows[a], P.polyder(rows[b])),
+                             P.polymul(rows[b], P.polyder(rows[a])))
+            gap = P.polysub(comm, tensor[a, b] @ rows)
+            worst = max(worst, np.abs(gap).max())
+    return worst
+
+
 def show_group(gid, seed):
     print(f"== {gid.value} ==")
     e = basis(gid)
@@ -78,7 +93,8 @@ def show_group(gid, seed):
         terms = [f"{fmt(c, signed=True)}{p}"
                  for c, p in zip(row, ["", " x", " x^2"]) if c != 0] or ["0"]
         print(f"  X_{name:<5s}(x) = {' '.join(terms)}")
-    tensor, residual = moebius_closure_constants(gid, B)
+    tensor = moebius_closure_constants(gid, B)
+    residual = closure_residual(rows, tensor)
     sign_note = ("negated bracket table"
                  if np.allclose(tensor, -C) else "see tensor")
     print(f"  field closure residual {residual:.3e} "

@@ -20,10 +20,9 @@ axis; a trajectory's stored samples are the case with one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, PoleError, UnsupportedProblemError
 from .groups import (
     AlgebraElement,
@@ -31,6 +30,7 @@ from .groups import (
     GroupId,
     InertiaOperator,
     _BASES,
+    _STRUCTURE,
 )
 
 __all__ = [
@@ -53,21 +53,20 @@ __all__ = [
 _LINE_GROUPS = (GroupId.SL2R, GroupId.SU2, GroupId.SO21)
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Record):
     """Either the group itself ("group_manifold") or the scalar line acted on
     by fractional-linear maps ("moebius_line")."""
 
-    kind: str
-    group: GroupId
+    __slots__ = ("kind", "group")
 
-    def __post_init__(self):
-        if self.kind not in ("group_manifold", "moebius_line"):
-            raise DomainError(f"unknown state space kind {self.kind!r}")
-        if self.kind == "moebius_line" and self.group not in _LINE_GROUPS:
+    def __init__(self, kind: str, group: GroupId):
+        if kind not in ("group_manifold", "moebius_line"):
+            raise DomainError(f"unknown state space kind {kind!r}")
+        if kind == "moebius_line" and group not in _LINE_GROUPS:
             raise DomainError(
                 f"the line action is defined for sl2r, su2, so21, not "
-                f"{self.group.value}")
+                f"{group.value}")
+        self._set(kind=kind, group=group)
 
     @property
     def is_line(self) -> bool:
@@ -82,20 +81,19 @@ def moebius_line(group: GroupId) -> StateSpace:
     return StateSpace("moebius_line", group)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
+class ConnectionCoefficients(Record):
     """Diagonal connection coefficients (B_plus, B_minus, B_zero)."""
 
-    diag: np.ndarray
+    __slots__ = ("diag",)
 
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64)
+    def __init__(self, diag):
+        d = np.asarray(diag, dtype=np.float64)
         if d.shape != (3,):
             raise DomainError(f"connection needs 3 coefficients, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise DomainError("connection coefficients must be finite")
         d.flags.writeable = False
-        object.__setattr__(self, "diag", d)
+        self._set(diag=d)
 
     @staticmethod
     def maurer_cartan() -> "ConnectionCoefficients":
@@ -236,39 +234,23 @@ def moebius_apply(group: GroupId, g: GroupElement, x):
     return val if group.is_complex else float(np.real(val))
 
 
-def _poly_commutator(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    # pa, pb: coefficient rows (c0, c1, c2); returns degree-3 coefficient rows
-    # of pa * pb' - pb * pa'
-    da = np.array([pa[1], 2.0 * pa[2], 0.0])
-    db = np.array([pb[1], 2.0 * pb[2], 0.0])
-    prod1 = np.convolve(pa, db)[:4]
-    prod2 = np.convolve(pb, da)[:4]
-    return prod1 - prod2
-
-
 def moebius_closure_constants(group: GroupId, B: ConnectionCoefficients):
-    """Structure constants realized by the line generators.
+    """Structure constants realized by the line generators, over the
+    group's scalars.
 
-    Computes every pairwise vector-field commutator by exact polynomial
-    algebra and solves for its expansion in the generator span.  Returns
-    (tensor, residual) where tensor[a, b, :] are the expansion coefficients
-    of [X_a, X_b] and residual bounds the out-of-span leftovers (the cubic
-    coefficient and the linear-solve defect).  All three generators must be
-    independent, which requires every connection coefficient to be nonzero.
+    Each generator is its coefficient times the unit-connection field,
+    X_a = B_a X_a^0, and the unit fields close with the bracket table
+    negated (the line action composes contravariantly), so
+    [X_a, X_b] = sum_c tensor[a, b, c] X_c with
+    tensor[a, b, c] = -(B_a B_b / B_c) C[a, b, c].  All three generators
+    must be independent, which requires every connection coefficient to be
+    nonzero.
     """
-    rows = line_generator_polynomials(group, B).astype(np.complex128)
-    if abs(np.linalg.det(rows)) < 1e-12:
+    if group not in _LINE_GROUPS:
+        raise UnsupportedProblemError(
+            f"no line generators for {group.value}")
+    b = B.diag
+    if not b.all():
         raise DomainError("degenerate connection: generators do not span")
-    tensor = np.zeros((3, 3, 3), dtype=np.complex128)
-    residual = 0.0
-    for a in range(3):
-        for b in range(3):
-            comm = _poly_commutator(rows[a], rows[b])
-            residual = max(residual, abs(comm[3]))
-            coeffs = np.linalg.solve(rows.T, comm[:3])
-            tensor[a, b] = coeffs
-            residual = max(residual,
-                           float(np.abs(coeffs @ rows - comm[:3]).max()))
-    if not group.is_complex:
-        tensor = np.real(tensor)
-    return tensor, residual
+    scale = b[:, None, None] * b[None, :, None] / b[None, None, :]
+    return (-scale * _STRUCTURE[group]).astype(group.scalar_dtype)

@@ -201,13 +201,19 @@ def run(argv=None):
 
     Everything imported so far (numpy, this package) lives as long as the
     process, so it is frozen into the permanent GC generation before the
-    command runs: no collection walks it, and the final collection at
-    interpreter exit does not free it one object at a time. ``main`` never
-    touches GC state, because tests and tracers call it many times in one
-    process and a freeze there would keep each call's garbage for good.
+    command runs: no collection walks it.  Once ``main`` returns, nothing is
+    left to release: every output file is closed, so stdout and stderr are
+    flushed and the process ends at once with ``main``'s code, skipping the
+    interpreter's teardown.  An exception from ``main`` (argparse's
+    SystemExit included) still goes through normal shutdown.  ``main``
+    never touches GC state or ends the process, because tests and tracers
+    call it many times in one process.
     """
     gc.freeze()
-    return main(argv)
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .actions import (
     moebius_line,
     quadratic_cost,
 )
+from ._record import Record
 from .errors import DivergenceError, DomainError, PoleError
 from .groups import (
     AlgebraElement,
@@ -64,28 +64,26 @@ MAX_STEPS = 10**6
 METHODS = ("rk4", "euler")
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Uniform-grid integrator settings.
 
     The horizon must be an integer number of steps (to one part in 1e9),
     at most MAX_STEPS of them.
     """
 
-    method: str = "rk4"
-    step: float = 1e-3
-    horizon: float = 1.0
+    __slots__ = ("method", "step", "horizon")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"unknown method {self.method!r}")
-        if not (self.step > 0 and np.isfinite(self.step)):
+    def __init__(self, method: str = "rk4", step: float = 1e-3,
+                 horizon: float = 1.0):
+        if method not in METHODS:
+            raise DomainError(f"unknown method {method!r}")
+        if not (step > 0 and np.isfinite(step)):
             raise DomainError("step must be positive and finite")
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
+        if not (horizon > 0 and np.isfinite(horizon)):
             raise DomainError("horizon must be positive and finite")
-        if self.step > self.horizon * (1 + 1e-12):
+        if step > horizon * (1 + 1e-12):
             raise DomainError("step must not exceed horizon")
-        ratio = self.horizon / self.step
+        ratio = horizon / step
         if ratio > MAX_STEPS * (1 + 1e-9):
             raise DomainError(
                 f"horizon/step = {ratio:.6g} exceeds the limit of "
@@ -93,6 +91,7 @@ class IntegratorConfig:
         if abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
                 f"horizon/step = {ratio!r} is not an integer sample count")
+        self._set(method=method, step=step, horizon=horizon)
 
     @property
     def n_steps(self) -> int:
@@ -102,8 +101,7 @@ class IntegratorConfig:
         return np.arange(self.n_steps + 1) * self.step
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Struct-of-arrays trajectory on a uniform time grid.
 
     Optional fields: xi (body velocity coefficients, shape (n, 3)), g (group
@@ -113,15 +111,11 @@ class Trajectory:
     (verify).
     """
 
-    group: GroupId
-    times: np.ndarray
-    xi: np.ndarray | None = None
-    g: np.ndarray | None = None
-    x: np.ndarray | None = None
-    p: np.ndarray | None = None
+    __slots__ = ("group", "times", "xi", "g", "x", "p")
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
+    def __init__(self, group: GroupId, times, xi=None, g=None, x=None,
+                 p=None):
+        t = np.asarray(times, dtype=np.float64)
         if t.ndim != 1 or t.size < 2:
             raise DomainError("times must hold at least two samples")
         dt = np.diff(t)
@@ -129,20 +123,24 @@ class Trajectory:
             raise DomainError("times must be strictly increasing")
         if np.abs(dt - dt[0]).max() > 1e-9 * max(dt[0], 1.0):
             raise DomainError("times must be uniform")
-        object.__setattr__(self, "times", t)
-        for name in ("xi", "g", "x", "p"):
-            arr = getattr(self, name)
+        for name, arr in (("xi", xi), ("g", g), ("x", x), ("p", p)):
             if arr is not None and len(arr) != t.size:
                 raise DomainError(f"{name} has {len(arr)} samples for "
                                   f"{t.size} grid points")
+        self._set(group=group, times=t, xi=xi, g=g, x=x, p=p)
+
+    def replace(self, **fields) -> "Trajectory":
+        """A new trajectory with the given fields replaced and the others
+        kept, checked as any new one is."""
+        kept = {name: getattr(self, name) for name in self.__slots__}
+        return Trajectory(**{**kept, **fields})
 
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
 
-@dataclass(frozen=True)
-class SymmetricSolutionParams:
+class SymmetricSolutionParams(Record):
     """Parameters of the equal-transverse-inertia special case.
 
     Derived quantities: the exponent alpha = 2 xi0 (I0 - I) / I and the
@@ -150,20 +148,18 @@ class SymmetricSolutionParams:
     C- = I xi_minus0 / (2 B-).
     """
 
-    I: float
-    I0: float
-    B_plus: float = 1.0
-    B_minus: float = 1.0
-    B_zero: float = 1.0
-    xi0: float = 0.0
-    xi_plus0: complex = 0.0
-    xi_minus0: complex = 0.0
+    __slots__ = ("I", "I0", "B_plus", "B_minus", "B_zero", "xi0",
+                 "xi_plus0", "xi_minus0")
 
-    def __post_init__(self):
-        if self.I == 0:
+    def __init__(self, I: float, I0: float, B_plus: float = 1.0,
+                 B_minus: float = 1.0, B_zero: float = 1.0, xi0: float = 0.0,
+                 xi_plus0: complex = 0.0, xi_minus0: complex = 0.0):
+        if I == 0:
             raise DomainError("transverse inertia I must be nonzero")
-        if self.B_plus * self.B_minus * self.B_zero == 0:
+        if B_plus * B_minus * B_zero == 0:
             raise DomainError("all connection coefficients must be nonzero")
+        self._set(I=I, I0=I0, B_plus=B_plus, B_minus=B_minus, B_zero=B_zero,
+                  xi0=xi0, xi_plus0=xi_plus0, xi_minus0=xi_minus0)
 
     @property
     def alpha(self) -> float:
@@ -458,7 +454,7 @@ def reconstruct_group(group: GroupId, xi_traj: Trajectory,
         raise DivergenceError(
             f"group element left the finite range near t = {t:.6g}",
             escape_time=float(t), last_index=k, states=list(gs[:k + 1]))
-    return replace(xi_traj, g=np.asarray(gs, dtype=group.scalar_dtype))
+    return xi_traj.replace(g=np.asarray(gs, dtype=group.scalar_dtype))
 
 
 def _line_point(group: GroupId, *values) -> list:
@@ -572,7 +568,7 @@ def lift_extremal(curve: Trajectory, x0: GroupElement, p0) -> Trajectory:
     dtype = curve.group.scalar_dtype
     xs = np.einsum("ij,kjl->kil", x0.matrix, transport)
     ps = np.einsum("ij,kjl->kil", np.asarray(p0, dtype=dtype), transport)
-    return replace(curve, x=xs, p=ps)
+    return curve.replace(x=xs, p=ps)
 
 
 def integrate_riccati(group: GroupId, B: ConnectionCoefficients,

@@ -13,11 +13,11 @@ scalars, SU(2) and SO(2,1) over complex scalars throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError
 
 __all__ = [
@@ -155,21 +155,19 @@ def slot_index(a) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """Lie algebra element as a coefficient 3-vector in the group's basis."""
 
-    group: GroupId
-    coeffs: np.ndarray
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=self.group.scalar_dtype)
+    def __init__(self, group: GroupId, coeffs):
+        c = np.asarray(coeffs, dtype=group.scalar_dtype)
         if c.shape != (3,):
             raise DomainError(f"coefficients must be a 3-vector, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise DomainError("coefficients must be finite")
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        self._set(group=group, coeffs=c)
 
     def matrix(self) -> np.ndarray:
         """Representing matrix sum_a coeffs[a] * e_a."""
@@ -213,23 +211,21 @@ def killing_form(a: AlgebraElement, b: AlgebraElement):
     return val if group.is_complex else float(np.real(val))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """Group element as a dense matrix; the defining constraint is checked
     against `constraint_residual` with tolerance CONSTRAINT_TOL."""
 
-    group: GroupId
-    matrix: np.ndarray
+    __slots__ = ("group", "matrix")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=self.group.scalar_dtype)
-        d = self.group.dim
+    def __init__(self, group: GroupId, matrix):
+        m = np.asarray(matrix, dtype=group.scalar_dtype)
+        d = group.dim
         if m.shape != (d, d):
             raise DomainError(f"matrix must be {d}x{d}, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self._set(group=group, matrix=m)
 
     def is_valid(self, tol: float = CONSTRAINT_TOL) -> bool:
         return constraint_residual(self) <= tol
@@ -350,19 +346,17 @@ def coefficients_of(group: GroupId, m, *, project: bool = False,
     return coeffs.astype(group.scalar_dtype)
 
 
-@dataclass(frozen=True)
-class InertiaOperator:
+class InertiaOperator(Record):
     """Diagonal operator on coefficient vectors: slot a is scaled by the
     finite, nonzero coefficient coeffs[a].
 
     Build with `inertia_diagonal` or `inertia_anticommutator`.
     """
 
-    group: GroupId
-    coeffs: np.ndarray
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
+    def __init__(self, group: GroupId, coeffs):
+        c = np.asarray(coeffs, dtype=np.float64)
         if c.shape != (3,):
             raise DomainError(
                 f"inertia needs 3 coefficients, got shape {c.shape}")
@@ -370,7 +364,7 @@ class InertiaOperator:
             raise DomainError(
                 "inertia coefficients must be finite and nonzero")
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        self._set(group=group, coeffs=c)
 
 
 def inertia_diagonal(group: GroupId, i_plus: float, i_minus: float,

@@ -322,6 +322,8 @@ def _parse_checks(scn, v):
                 f"checks[{i}]",
                 f"unknown check {name!r} for problem {scn.problem}; "
                 f"valid names: {', '.join(valid)}")
+        if name in v[:i]:
+            raise ScenarioError(f"checks[{i}]", f"duplicate check {name!r}")
         precondition = valid[name][0]
         unmet = precondition(scn) if precondition else None
         if unmet is not None:

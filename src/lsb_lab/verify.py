@@ -6,8 +6,6 @@ Checks are pure functions of their inputs: rerunning one on the same data
 reproduces the residual bitwise (fixed iteration order, no randomness).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .actions import (
@@ -28,6 +26,7 @@ from .dynamics import (
     integrate_euler_poincare,
     quadrature,
 )
+from ._record import Record
 from .errors import DegenerateInputError, DomainError
 from .groups import (
     AlgebraElement,
@@ -53,22 +52,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named residual measurement with its gate."""
 
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    details: str = ""
+    __slots__ = ("name", "max_residual", "tolerance", "passed", "details")
 
-    def __post_init__(self):
+    def __init__(self, name: str, max_residual: float, tolerance: float,
+                 passed: bool, details: str = ""):
         # pass flag must agree with the residual/tolerance comparison;
         # NaN and inf residuals compare as failing
-        expected = bool(self.max_residual <= self.tolerance)
-        if self.passed != expected:
+        expected = bool(max_residual <= tolerance)
+        if passed != expected:
             raise DomainError("pass flag inconsistent with residual")
+        self._set(name=name, max_residual=max_residual, tolerance=tolerance,
+                  passed=passed, details=details)
 
     @classmethod
     def from_residual(cls, name, max_residual, tolerance, details=""):
@@ -86,13 +83,13 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
-    scenario_digest: str = ""
+class VerificationReport(Record):
+    """The checks of one run, in order, with the scenario's digest."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
+    __slots__ = ("checks", "scenario_digest")
+
+    def __init__(self, checks, scenario_digest: str = ""):
+        self._set(checks=tuple(checks), scenario_digest=scenario_digest)
 
     @property
     def all_passed(self):

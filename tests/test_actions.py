@@ -196,30 +196,63 @@ def test_flow_matches_exponential_action():
                                                           abs=1e-12)
 
 
+def _poly_commutator(pa, pb):
+    # pa, pb: coefficient rows (c0, c1, c2); returns degree-3 coefficient rows
+    # of pa * pb' - pb * pa'
+    da = np.array([pa[1], 2.0 * pa[2], 0.0])
+    db = np.array([pb[1], 2.0 * pb[2], 0.0])
+    return np.convolve(pa, db)[:4] - np.convolve(pb, da)[:4]
+
+
+def _closure_by_solve(gid, B):
+    """Oracle: every pairwise vector-field commutator by exact polynomial
+    algebra, expanded in the generator span by a linear solve.  Returns
+    (tensor, residual), where residual bounds the out-of-span leftovers
+    (the cubic coefficient and the solve's defect)."""
+    rows = line_generator_polynomials(gid, B).astype(np.complex128)
+    tensor = np.zeros((3, 3, 3), dtype=np.complex128)
+    residual = 0.0
+    for a in range(3):
+        for b in range(3):
+            comm = _poly_commutator(rows[a], rows[b])
+            coeffs = np.linalg.solve(rows.T, comm[:3])
+            tensor[a, b] = coeffs
+            residual = max(residual, abs(comm[3]),
+                           float(np.abs(coeffs @ rows - comm[:3]).max()))
+    return tensor, residual
+
+
 def test_closure_constants_match_tables_with_flipped_sign():
     """The generator fields close under the vector-field commutator with the
     negated table constants (the action composes contravariantly)."""
     for gid in LINE_GROUPS:
-        tensor, residual = moebius_closure_constants(gid, B_ONE)
+        tensor = moebius_closure_constants(gid, B_ONE)
+        assert tensor.dtype == gid.scalar_dtype
+        npt.assert_array_equal(tensor, -structure_constants(gid))
+        solved, residual = _closure_by_solve(gid, B_ONE)
         assert residual < 1e-12
-        npt.assert_allclose(tensor, -structure_constants(gid), atol=1e-12)
+        npt.assert_allclose(tensor, solved, rtol=0, atol=1e-12)
 
 
 def test_closure_constants_rescale_with_connection():
     # each generator is its coefficient times a fixed field, so the realized
-    # constants pick up B_a B_b / B_c relative to the unit-connection case
+    # constants pick up B_a B_b / B_c relative to the unit-connection case;
+    # the closed form agrees with the polynomial solve on signed B
     rng = np.random.default_rng(29)
     for gid in LINE_GROUPS:
-        diag = rng.uniform(0.4, 1.8, 3)
-        B = ConnectionCoefficients(diag)
-        tensor, residual = moebius_closure_constants(gid, B)
-        assert residual < 1e-12
-        scale = diag[:, None, None] * diag[None, :, None] / diag[None, None, :]
-        npt.assert_allclose(tensor, -structure_constants(gid) * scale,
-                            atol=1e-12)
+        for _ in range(20):
+            diag = rng.choice([-1.0, 1.0], 3) * rng.uniform(0.4, 1.8, 3)
+            B = ConnectionCoefficients(diag)
+            tensor = moebius_closure_constants(gid, B)
+            solved, residual = _closure_by_solve(gid, B)
+            assert residual < 1e-12
+            npt.assert_allclose(tensor, solved, rtol=0, atol=1e-14)
     bad = ConnectionCoefficients(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(DomainError):
-        moebius_closure_constants(GroupId.SL2R, bad)
+    for gid in LINE_GROUPS:
+        with pytest.raises(DomainError, match="degenerate connection"):
+            moebius_closure_constants(gid, bad)
+    with pytest.raises(UnsupportedProblemError):
+        moebius_closure_constants(GroupId.SO3, B_ONE)
 
 
 def test_quadratic_cost_pairings():

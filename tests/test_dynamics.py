@@ -1,6 +1,5 @@
 """Reduced flows, reconstruction, extremals, closed forms, quadrature."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -449,8 +448,7 @@ def test_manifold_lift_constant_control():
     npt.assert_array_equal(ext.p, np.zeros_like(ext.p))
     # a trajectory stores what was integrated or transported, never the
     # control field on its samples
-    assert [f.name for f in dataclasses.fields(ext)] == [
-        "group", "times", "xi", "g", "x", "p"]
+    assert Trajectory.__slots__ == ("group", "times", "xi", "g", "x", "p")
 
 
 def test_manifold_lift_requires_control():

@@ -109,6 +109,8 @@ def test_scenario_parses_minimal_inputs():
     # one file cannot hold both the report and the trajectory
     ({"outputs": {"trajectory_csv": "x.csv", "report_json": "./x.csv"}},
      "outputs.report_json"),
+    # a repeated check name would put two identical entries in the report
+    ({"checks": ["energy_conservation", "energy_conservation"]}, "checks[1]"),
 ])
 def test_scenario_error_names_field(patch, field):
     with pytest.raises(ScenarioError) as info:
@@ -425,6 +427,17 @@ def test_cli_input_error_paths(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_duplicate_check_is_an_input_error(tmp_path, capsys):
+    # a repeated name would put two identical entries in the report
+    path = _write(tmp_path, _riccati(checks=["cross_ratio", "cross_ratio"]))
+    assert main(["verify", path, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: checks[1]: duplicate check " \
+                           "'cross_ratio'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_scenario_is_an_input_error(tmp_path, capsys):
     # a directory, or a file whose bytes are not UTF-8 (here a UTF-16 byte
     # order mark), is refused like a missing file, in every command
@@ -514,29 +527,42 @@ DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 
 
 def _output_bytes(directory):
-    return {name: (directory / name).read_bytes()
-            for name in sorted(os.listdir(directory))}
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
 def test_console_script_entry_point(tmp_path, capsys):
-    """The process entry (`python -m lsb_lab.cli`, through `run`) and an
-    in-process `main` give the same exit code, stdout and output bytes, on
-    one rigid and one riccati su2 scenario."""
+    """The process entry (`python -m lsb_lab.cli`, through `run`, which ends
+    the process with os._exit) and an in-process `main` give the same exit
+    code, stdout, stderr and output bytes: verify on one rigid and one
+    riccati su2 scenario, a sweep over two values and a compare that
+    diverges (exit 3)."""
     riccati = load_raw(os.path.join(DEMOS, "riccati_sl2r_symmetric.json"))
     riccati.update(group="su2", checks=["cross_ratio", "action_equality",
                                         "hamiltonian_conservation"])
     rigid = load_raw(os.path.join(DEMOS, "rigid_body_su2.json"))
-    for name, raw in (("rigid", rigid), ("riccati", riccati)):
+    rigid_path = _write(tmp_path, rigid, "rigid.json")
+    cases = [
+        ("rigid", ["verify", rigid_path], 0, 2),
+        ("riccati", ["verify", _write(tmp_path, riccati, "riccati.json")],
+         0, 2),
+        ("sweep", ["sweep", rigid_path, "--param", "horizon",
+                   "--values", "0.5,1.0"], 0, 4),
+        ("compare", ["compare",
+                     os.path.join(DEMOS, "riccati_sl2r_escaping.json")],
+         3, 0),
+    ]
+    for name, args, code, n_files in cases:
         out = tmp_path / name
-        argv = ["verify", _write(tmp_path, raw, name + ".json"),
-                "--out", str(out)]
+        argv = args + ["--out", str(out)]
         proc = subprocess.run([sys.executable, "-m", "lsb_lab.cli"] + argv,
                               capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert "PASS" in proc.stdout and proc.stderr == ""
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout and proc.stderr == ""
         from_process = _output_bytes(out)
-        assert len(from_process) == 2  # the CSV and the report
-        shutil.rmtree(out)
+        assert len(from_process) == n_files  # CSVs and reports
+        if out.exists():
+            shutil.rmtree(out)
 
         assert main(argv) == proc.returncode
         captured = capsys.readouterr()
@@ -572,6 +598,24 @@ def test_verify_loads_neither_numpy_random_nor_openssl(tmp_path):
         assert "_hashlib" not in loaded
 
 
+def test_cli_process_does_not_import_dataclasses(tmp_path):
+    # the records are plain slotted classes: a fresh CLI process generates
+    # no dataclass methods at import, so it never loads the module
+    raw = _riccati(checks=["closed_loop_audit", "cross_ratio"],
+                   outputs={"trajectory_csv": "t.csv",
+                            "report_json": "r.json"})
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "lsb_lab.cli", "verify",
+         _write(tmp_path, raw), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "lsb_lab.verify" in imported
+    assert not [m for m in imported if m.split(".")[0] == "dataclasses"]
+
+
 def test_main_leaves_gc_state_alone(tmp_path):
     # main runs many times in one test or tracing process; a freeze there
     # would keep every earlier call's garbage for good
@@ -582,13 +626,61 @@ def test_main_leaves_gc_state_alone(tmp_path):
             gc.get_threshold()) == before
 
 
-def test_run_freezes_the_heap_before_dispatch(monkeypatch):
-    events = []
+class _Stream:
+    # a standard stream that records its flushes
+    def __init__(self, name, events):
+        self.name, self.events = name, events
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+
+
+def _patch_run(monkeypatch, events):
     monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli.os, "_exit",
+                        lambda code: events.append(("exit", code)))
+
+
+def test_run_freezes_the_heap_before_dispatch(monkeypatch):
+    # the heap is frozen before dispatch; after main returns both streams
+    # are flushed and the process ends with main's code, skipping teardown
+    events = []
+    _patch_run(monkeypatch, events)
     monkeypatch.setattr(cli, "main",
                         lambda argv=None: events.append(("main", argv)) or 2)
-    assert cli.run(["verify", "scn.json"]) == 2
-    assert events == ["freeze", ("main", ["verify", "scn.json"])]
+    monkeypatch.setattr(cli.sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(cli.sys, "stderr", _Stream("stderr", events))
+    cli.run(["verify", "scn.json"])
+    assert events == ["freeze", ("main", ["verify", "scn.json"]),
+                      ("flush", "stdout"), ("flush", "stderr"), ("exit", 2)]
+
+
+def test_run_leaves_exceptions_to_normal_shutdown(monkeypatch):
+    events = []
+    _patch_run(monkeypatch, events)
+
+    def failing(argv=None):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "main", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.run([])
+    assert events == ["freeze"]
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0),
+                                        (["verify"], 2),
+                                        (["bogus", "scn.json"], 2)])
+def test_run_leaves_argparse_exits_to_normal_shutdown(monkeypatch, capsys,
+                                                      argv, code):
+    # argparse ends --version and a bad argument with its own SystemExit,
+    # which propagates through run without os._exit
+    events = []
+    _patch_run(monkeypatch, events)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(argv)
+    assert excinfo.value.code == code
+    assert events == ["freeze"]
+    capsys.readouterr()
 
 
 def test_console_script_targets_run():

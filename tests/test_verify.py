@@ -3,7 +3,6 @@
 import itertools
 import os
 import types
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -147,12 +146,12 @@ def test_rigid_equivalence_rejects_singular_samples():
     g_bad = curve.g.copy()
     g_bad[0] = 0.0
     with pytest.raises(DomainError, match="singular group sample"):
-        _rigid_lift(replace(curve, g=g_bad))
+        _rigid_lift(curve.replace(g=g_bad))
     # a zeroed later sample breaks the control equation there
     g_bad = curve.g.copy()
     g_bad[3] = 0.0
     ctrl, cons = check_equivalence_rigid(
-        J123, _rigid_lift(replace(curve, g=g_bad)))
+        J123, _rigid_lift(curve.replace(g=g_bad)))
     assert not ctrl.passed and not cons.passed
     # the group curve alone is no lift
     with pytest.raises(DomainError, match="lifted extremal"):
@@ -234,8 +233,8 @@ def test_cross_ratio_exact_for_translations():
 def test_cross_ratio_input_checks():
     fam = _translation_family()
     with pytest.raises(DomainError):
-        check_cross_ratio(replace(fam, x=fam.x[:, :3]))
-    twin = replace(fam, x=fam.x[:, [0, 0, 2, 3]])
+        check_cross_ratio(fam.replace(x=fam.x[:, :3]))
+    twin = fam.replace(x=fam.x[:, [0, 0, 2, 3]])
     with pytest.raises(DegenerateInputError):
         check_cross_ratio(twin)
 
@@ -257,7 +256,7 @@ def test_action_equality_flags_uncontrolled_curves():
     cfg = IntegratorConfig("rk4", 1e-2, 0.5)
     ext = lift_extremal(_rigid_curve(cfg), group_identity(GroupId.SO3),
                         np.zeros((3, 3)))
-    broken = replace(ext, x=ext.x + 1.0)
+    broken = ext.replace(x=ext.x + 1.0)
     res = check_action_equality(J123, B_ONE, broken)
     assert not res.passed
     assert res.max_residual == np.inf
