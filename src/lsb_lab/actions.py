@@ -11,11 +11,11 @@ The connection coefficients (B_plus, B_minus, B_zero) rescale the line
 generators slot by slot; (1, 1, 1) is the canonical (Maurer-Cartan) case.
 
 The Clebsch-Lin functions (generator_field, infinitesimal_action,
-momentum_map, quadratic_cost, pontryagin_hamiltonian, clebsch_lagrangian)
-take plain arrays and broadcast over leading sample axes: a control is a
-coefficient array of shape (..., 3), a line state or costate has shape
-(...), a manifold one (..., d, d).  One point is the case with no leading
-axis; a trajectory's stored samples are the case with one.
+momentum_map, quadratic_cost, clebsch_lagrangian) take plain arrays and
+broadcast over leading sample axes: a control is a coefficient array of
+shape (..., 3), a line state or costate has shape (...), a manifold one
+(..., d, d).  One point is the case with no leading axis; a trajectory's
+stored samples are the case with one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "line_generator_polynomials",
     "momentum_map",
     "quadratic_cost",
-    "pontryagin_hamiltonian",
     "clebsch_lagrangian",
     "moebius_apply",
     "moebius_closure_constants",
@@ -198,16 +197,6 @@ def quadratic_cost(J: InertiaOperator, xi):
     trailing axis; no conjugation, so it is holomorphic in complex
     coefficients."""
     return 0.5 * np.einsum("...a,a,...a->...", xi, J.coeffs, xi)
-
-
-def pontryagin_hamiltonian(space: StateSpace, B: ConnectionCoefficients,
-                           J: InertiaOperator, x, p, xi):
-    """<p, control field at x> minus the running cost.
-
-    Stationary in xi exactly at the optimal feedback value.
-    """
-    drive = _pairing(space, p, infinitesimal_action(space, B, xi, x))
-    return drive - quadratic_cost(J, xi)
 
 
 def clebsch_lagrangian(space: StateSpace, B: ConnectionCoefficients,

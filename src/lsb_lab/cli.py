@@ -2,7 +2,10 @@
 
 Exit codes: 0 success (all requested checks passed), 1 input error (the
 message names the offending field), 2 completed run with failing checks,
-3 divergence or a formula pole aborting a trajectory product.
+3 divergence or a formula pole aborting a trajectory product, 141 the
+reader of stdout or stderr closed its pipe (128 + SIGPIPE, the status a
+shell reports for a process a closed pipe ends; given by the process
+entry `run` only).
 """
 
 import argparse
@@ -18,6 +21,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CHECK_FAILED = 2
 EXIT_DIVERGED = 3
+_EXIT_CLOSED_PIPE = 141
 
 
 def _build_parser():
@@ -204,15 +208,21 @@ def run(argv=None):
     command runs: no collection walks it.  Once ``main`` returns, nothing is
     left to release: every output file is closed, so stdout and stderr are
     flushed and the process ends at once with ``main``'s code, skipping the
-    interpreter's teardown.  An exception from ``main`` (argparse's
+    interpreter's teardown.  A closed pipe on stdout or stderr, met by
+    ``main`` or by the flush (as ``| head`` leaves it), ends the process
+    the same way with exit code 141 and no traceback; whatever the streams
+    still buffer is dropped.  Any other exception from ``main`` (argparse's
     SystemExit included) still goes through normal shutdown.  ``main``
     never touches GC state or ends the process, because tests and tracers
     call it many times in one process.
     """
     gc.freeze()
-    code = main(argv)
-    sys.stdout.flush()
-    sys.stderr.flush()
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = _EXIT_CLOSED_PIPE
     os._exit(code)
 
 

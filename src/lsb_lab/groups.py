@@ -27,17 +27,14 @@ __all__ = [
     "InertiaOperator",
     "basis",
     "structure_constants",
-    "slot_index",
     "bracket",
     "killing_form",
     "exp_map",
     "exp_matrices",
     "group_identity",
     "constraint_residual",
-    "coefficients_of",
     "inertia_diagonal",
     "inertia_anticommutator",
-    "inertia_apply",
     "inertia_solve",
     "CONSTRAINT_TOL",
 ]
@@ -137,22 +134,6 @@ _STRUCTURE = _build_structure_constants()
 def structure_constants(group: GroupId) -> np.ndarray:
     """Integer tensor C with [e_a, e_b] = sum_c C[a, b, c] e_c. Returns a copy."""
     return _STRUCTURE[group].copy()
-
-
-_SLOT_LABELS = {"+": 0, "-": 1, "0": 2, "−": 1}
-
-
-def slot_index(a) -> int:
-    """Normalize a basis slot given as 0/1/2 or one of the labels '+', '-', '0'."""
-    if isinstance(a, str):
-        try:
-            return _SLOT_LABELS[a]
-        except KeyError:
-            raise DomainError(f"unknown basis label {a!r}") from None
-    i = int(a)
-    if i not in (0, 1, 2):
-        raise DomainError(f"basis index must be 0, 1 or 2, got {a!r}")
-    return i
 
 
 class AlgebraElement(Record):
@@ -302,50 +283,6 @@ def exp_map(a: AlgebraElement) -> GroupElement:
     return GroupElement(a.group, exp_matrices(a.group, a.coeffs[None])[0])
 
 
-def _project_to_span(group: GroupId, m: np.ndarray) -> np.ndarray:
-    # Frobenius-orthogonal projection onto the span of the basis:
-    # skew part for SO3 (real span of the axis generators), trace removal for
-    # the 2x2 groups (complex span of the basis is the traceless matrices).
-    if group is GroupId.SO3:
-        return (m - m.T) / 2.0
-    return m - (np.trace(m) / group.dim) * np.eye(group.dim, dtype=m.dtype)
-
-
-def coefficients_of(group: GroupId, m, *, project: bool = False,
-                    tol: float = CONSTRAINT_TOL) -> np.ndarray:
-    """Coefficient 3-vector of a matrix in the group's basis.
-
-    With project=False the matrix must lie in the span of the basis up to
-    `tol`, else DomainError.  With project=True the Frobenius-orthogonal
-    projection onto the span is decomposed instead and the off-span residual
-    is ignored.
-    """
-    m = np.asarray(m, dtype=group.scalar_dtype)
-    d = group.dim
-    if m.shape != (d, d):
-        raise DomainError(f"matrix must be {d}x{d}, got shape {m.shape}")
-    p = _project_to_span(group, m)
-    if group is GroupId.SO3:
-        coeffs = np.array([p[2, 1], p[0, 2], p[1, 0]])
-    elif group is GroupId.SL2R:
-        coeffs = np.array([p[0, 1], p[1, 0], p[0, 0]])
-    elif group is GroupId.SU2:
-        coeffs = np.array([(p[0, 1] - p[1, 0]) / 2.0,
-                           (p[0, 1] + p[1, 0]) / 2j,
-                           p[0, 0] / 1j])
-    else:
-        coeffs = np.array([p[0, 0] / 1j,
-                           (p[0, 1] - p[1, 0]) / 2j,
-                           -(p[0, 1] + p[1, 0]) / 2.0])
-    if not project:
-        residual = np.abs(m - p).max()
-        if residual > tol:
-            raise DomainError(
-                f"matrix is {residual:.3e} away from the algebra span "
-                f"(tolerance {tol:.1e}); pass project=True to project")
-    return coeffs.astype(group.scalar_dtype)
-
-
 class InertiaOperator(Record):
     """Diagonal operator on coefficient vectors: slot a is scaled by the
     finite, nonzero coefficient coeffs[a].
@@ -393,12 +330,6 @@ def inertia_anticommutator(group: GroupId, diag_entries) -> InertiaOperator:
         return InertiaOperator(group, [d2 + d3, d1 + d3, d1 + d2])
     d1, d2 = entries.tolist()
     return InertiaOperator(group, [d1 + d2] * 3)
-
-
-def inertia_apply(J: InertiaOperator, xi: AlgebraElement) -> AlgebraElement:
-    if J.group is not xi.group:
-        raise DomainError(f"group mismatch: {J.group.value} vs {xi.group.value}")
-    return AlgebraElement(xi.group, J.coeffs * xi.coeffs)
 
 
 def inertia_solve(J: InertiaOperator, eta: AlgebraElement) -> AlgebraElement:

@@ -77,23 +77,15 @@ CROSS_RATIO_OFFSETS = (0.0, 0.4, -0.4, 0.9)
 # the compare table's row count, at most
 COMPARE_ROWS = 21
 
-_TOP_FIELDS = ("group", "problem", "inertia", "connection", "initial",
-               "horizon", "step", "integrator", "checks", "outputs")
-
 
 class Scenario:
     """Validated scenario: typed fields plus the resolved raw object."""
 
     def __init__(self, raw):
         self.raw = raw
-        _require_object(raw, "scenario")
-        for key in raw:
-            if key not in _TOP_FIELDS:
-                raise ScenarioError(key, "unknown field")
-        for key in ("group", "problem", "inertia", "connection", "initial",
-                    "horizon", "step"):
-            if key not in raw:
-                raise ScenarioError(key, "required field is missing")
+        _check_fields(raw, "", ("group", "problem", "inertia", "connection",
+                                "initial", "horizon", "step"),
+                      ("integrator", "checks", "outputs"))
 
         group_name = raw["group"]
         try:
@@ -121,8 +113,6 @@ class Scenario:
 
         horizon = _parse_positive(raw["horizon"], "horizon")
         step = _parse_positive(raw["step"], "step")
-        if step > horizon:
-            raise ScenarioError("step", "step must not exceed the horizon")
         integrator = raw.get("integrator", "rk4")
         if integrator not in METHODS:
             raise ScenarioError(
@@ -184,6 +174,21 @@ class Scenario:
 def _require_object(v, path):
     if not isinstance(v, dict):
         raise ScenarioError(path, "must be an object")
+
+
+def _check_fields(v, path, required, optional=()):
+    """Require v, the object at path ("" for the scenario itself), to hold
+    every required key and no other key than the optional ones.  Unknown
+    keys are named first, in the object's order, then missing ones, in the
+    order of required."""
+    _require_object(v, path or "scenario")
+    prefix = f"{path}." if path else ""
+    for key in v:
+        if key not in required and key not in optional:
+            raise ScenarioError(prefix + key, "unknown field")
+    for key in required:
+        if key not in v:
+            raise ScenarioError(prefix + key, "required field is missing")
 
 
 def _finite_float(v, path):
@@ -279,17 +284,9 @@ def _parse_group_element(group, v, path):
 
 
 def _parse_initial(scn, v):
-    _require_object(v, "initial")
     group = scn.group
     if scn.problem == "rigid_body":
-        allowed = {"xi0", "g0", "x0", "p0"}
-        for key in v:
-            if key not in allowed:
-                raise ScenarioError(f"initial.{key}", "unknown field")
-        if "xi0" not in v:
-            raise ScenarioError("initial.xi0", "required field is missing")
-        if "x0" not in v:
-            raise ScenarioError("initial.x0", "required field is missing")
+        _check_fields(v, "initial", ("xi0", "x0"), ("g0", "p0"))
         xi0 = _parse_real_vector(v["xi0"], "initial.xi0", 3)
         g0 = (_parse_group_element(group, v["g0"], "initial.g0")
               if "g0" in v else group_identity(group))
@@ -298,13 +295,7 @@ def _parse_initial(scn, v):
               if "p0" in v else None)
         return {"xi0": AlgebraElement(group, xi0), "g0": g0, "x0": x0,
                 "p0": p0}
-    allowed = {"x0", "p0"}
-    for key in v:
-        if key not in allowed:
-            raise ScenarioError(f"initial.{key}", "unknown field")
-    for key in allowed:
-        if key not in v:
-            raise ScenarioError(f"initial.{key}", "required field is missing")
+    _check_fields(v, "initial", ("x0", "p0"))
     allow_complex = group.is_complex
     return {
         "x0": _parse_number(v["x0"], "initial.x0", allow_complex),
@@ -332,10 +323,8 @@ def _parse_checks(scn, v):
 
 
 def _parse_outputs(v):
-    _require_object(v, "outputs")
+    _check_fields(v, "outputs", (), ("trajectory_csv", "report_json"))
     for key, path in v.items():
-        if key not in ("trajectory_csv", "report_json"):
-            raise ScenarioError(f"outputs.{key}", "unknown field")
         if not isinstance(path, str) or not path:
             raise ScenarioError(f"outputs.{key}",
                                 "must be a non-empty path string")
@@ -721,14 +710,6 @@ def write_csv(path, columns):
     rows = zip(*[arr.tolist() for arr in arrays])
     _atomic_write(path, itertools.chain([",".join(names) + "\n"],
                                         (row % values for values in rows)))
-
-
-def read_csv(path):
-    """Read a CSV written by write_csv back into named float columns."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def write_report(path, report):

@@ -26,7 +26,6 @@ from lsb_lab import (
     moebius_closure_constants,
     moebius_line,
     momentum_map,
-    pontryagin_hamiltonian,
     quadratic_cost,
     riccati_coefficients,
     structure_constants,
@@ -268,12 +267,18 @@ def test_quadratic_cost_pairings():
 
 
 def test_hamiltonian_stationary_at_feedback():
+    """The control Hamiltonian <p, action of xi at x> - cost(xi), built from
+    the momentum map, is stationary in xi at the optimal feedback."""
     from lsb_lab import feedback_solve
     line = moebius_line(GroupId.SL2R)
     J = inertia_diagonal(GroupId.SL2R, 1.0, 1.0, 2.0)
     x, p = 0.5, -1.0
     star = feedback_solve(GroupId.SL2R, B_ONE, J, x, p).coeffs
-    h0 = pontryagin_hamiltonian(line, B_ONE, J, x, p, star)
+    mu = momentum_map(line, B_ONE, x, p)
+
+    def hamiltonian(xi):
+        return mu @ xi - quadratic_cost(J, xi)
+    h0 = hamiltonian(star)
     rng = np.random.default_rng(37)
     for _ in range(10):
         d = rng.standard_normal(3)
@@ -281,8 +286,7 @@ def test_hamiltonian_stationary_at_feedback():
         eps = 1e-5
         shifted = star + eps * d
         # stationary point: first-order term vanishes, curvature is O(eps^2)
-        assert abs(pontryagin_hamiltonian(line, B_ONE, J, x, p, shifted)
-                   - h0) < 1e-9
+        assert abs(hamiltonian(shifted) - h0) < 1e-9
 
 
 def test_clebsch_density_collapses_on_controlled_curves():
@@ -309,13 +313,14 @@ def test_connection_coefficients_validated():
 
 
 def _layer_calls(space, B, J, x, p, xdot, xi):
+    mu = momentum_map(space, B, x, p)
     return {
         "generator_field": generator_field(space, B, x),
         "infinitesimal_action": infinitesimal_action(space, B, xi, x),
-        "momentum_map": momentum_map(space, B, x, p),
+        "momentum_map": mu,
         "quadratic_cost": quadratic_cost(J, xi),
-        "pontryagin_hamiltonian": pontryagin_hamiltonian(space, B, J, x, p,
-                                                         xi),
+        # the control Hamiltonian, contracted sample by sample
+        "hamiltonian": (mu * xi).sum(axis=-1) - quadratic_cost(J, xi),
         "clebsch_lagrangian": clebsch_lagrangian(space, B, J, x, p, xdot, xi),
     }
 
@@ -330,11 +335,11 @@ def test_layer_stacked_call_equals_per_sample_calls(kind, gid):
     One exception, on the su2/so21 line: the complex control coefficients
     are contracted with the generator table by a BLAS matrix product, gemm
     for a stack and gemv for one sample, whose fused multiply-adds round
-    differently.  There the line action and the two quantities built on it
-    agree to roundoff of their terms' magnitudes: at most 1.7 eps times
-    the terms' sum, measured over 1000 random draws of 5 samples.  The
-    checks call the layer on whole trajectories, so the values they report
-    are the stacked ones.
+    differently.  There the line action and the Clebsch Lagrangian built
+    on it agree to roundoff of their terms' magnitudes: at most 1.7 eps
+    times the terms' sum, measured over 1000 random draws of 5 samples.
+    The checks call the layer on whole trajectories, so the values they
+    report are the stacked ones.
     """
     rng = np.random.default_rng(43)
     B = ConnectionCoefficients(np.array([1.1, 0.7, 1.3]))
@@ -362,7 +367,6 @@ def test_layer_stacked_call_equals_per_sample_calls(kind, gid):
                  ).sum(axis=1)
         bound = 4.0 * np.finfo(np.float64).eps * terms
         through_gemm = {"infinitesimal_action": bound,
-                        "pontryagin_hamiltonian": bound * np.abs(p),
                         "clebsch_lagrangian": bound * np.abs(p)}
     for name, value in stacked.items():
         single = np.array([s[name] for s in singles])

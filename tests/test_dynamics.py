@@ -22,7 +22,6 @@ from lsb_lab import (
     basis,
     closed_form_symmetric,
     closed_loop_rhs,
-    coefficients_of,
     euler_poincare_rhs,
     exp_map,
     feedback_solve,
@@ -150,15 +149,17 @@ SU2_COMPLEX_START = [0.6 + 0.1j, -0.2, 0.5 - 0.3j]
 def _coadjoint_oracle(group, I):
     """The reduced field from the basis matrices alone, as a function of
     one coefficient array: with mu = I xi, mu'_b = sum_c mu_c
-    coeffs_c([xi, e_b]), the matrix commutators of basis(group) split by
-    coefficients_of, so mu' = ad*_xi mu."""
+    coeffs_c([xi, e_b]), the matrix commutators of basis(group) split on
+    the basis matrices by least squares, so mu' = ad*_xi mu."""
     E = basis(group)
+    span = E.reshape(3, -1).T
     I = np.asarray(I, dtype=np.float64)
 
     def f(xi):
         X = np.tensordot(xi, E, axes=(0, 0))
         mu = I * xi
-        return np.array([mu @ coefficients_of(group, X @ e - e @ X)
+        return np.array([mu @ np.linalg.lstsq(span, (X @ e - e @ X).ravel(),
+                                              rcond=None)[0]
                          for e in E]) / I
     return f
 

@@ -1,8 +1,10 @@
 """Scenario schema, overrides, output formats, and the command-line tool."""
 
 import copy
+import csv
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -22,7 +24,6 @@ from lsb_lab.scenario import (
     apply_overrides,
     compare_table,
     load_raw,
-    read_csv,
     run_checks,
     scenario_digest,
     simulate_columns,
@@ -79,6 +80,13 @@ def _write(tmp_path, raw, name="scn.json"):
 
 def _field_of(excinfo):
     return str(excinfo.value).split(":")[0]
+
+
+def _read_csv(path):
+    # a written CSV back as {column name: float array}, by the csv module
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    return dict(zip(header, np.array(rows, dtype=np.float64).T))
 
 
 def test_scenario_parses_minimal_inputs():
@@ -152,6 +160,20 @@ def test_scenario_initial_validation():
     scn = Scenario(_riccati(group="su2",
                             initial={"x0": [0.5, 0.1], "p0": [1.0, 0.0]}))
     assert scn.initial["x0"] == 0.5 + 0.1j
+
+
+def test_missing_initial_fields_are_named_in_order(tmp_path):
+    # the first missing field is the same in every process, whatever the
+    # hash seed (seeds 1 and 2 once named initial.p0 and initial.x0)
+    path = _write(tmp_path, _riccati(initial={}))
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsb_lab.cli", "verify", path],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 1
+        assert proc.stderr == ("input error: initial.x0: required field is "
+                               "missing\n")
 
 
 def test_scenario_check_compatibility_rules():
@@ -251,7 +273,7 @@ def test_csv_roundtrip_is_exact(tmp_path):
             ("p", rng.standard_normal(5) * 1e9)]
     path = tmp_path / "traj.csv"
     write_csv(str(path), cols)
-    back = read_csv(str(path))
+    back = _read_csv(str(path))
     assert list(back) == ["t", "x", "p"]
     for name, arr in cols:
         npt.assert_array_equal(back[name], arr)
@@ -347,7 +369,7 @@ def test_cli_simulate_writes_csv(tmp_path):
         outputs={"trajectory_csv": "rigid.csv"}))
     code = main(["simulate", path, "--out", str(tmp_path / "runA")])
     assert code == 0
-    cols = read_csv(str(tmp_path / "runA" / "rigid.csv"))
+    cols = _read_csv(str(tmp_path / "runA" / "rigid.csv"))
     assert cols["t"].size == 1001
     # principal-axis spin: constant control columns
     path = _write(tmp_path, _rigid(
@@ -355,7 +377,7 @@ def test_cli_simulate_writes_csv(tmp_path):
                  "x0": np.eye(3).tolist()},
         outputs={"trajectory_csv": "axis.csv"}), name="axis.json")
     assert main(["simulate", path, "--out", str(tmp_path / "runB")]) == 0
-    cols = read_csv(str(tmp_path / "runB" / "axis.csv"))
+    cols = _read_csv(str(tmp_path / "runB" / "axis.csv"))
     assert np.all(cols["xi_zero"] == 0.9)
     assert np.all(cols["xi_plus"] == 0.0)
 
@@ -570,6 +592,33 @@ def test_console_script_entry_point(tmp_path, capsys):
         assert _output_bytes(out) == from_process
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["block-buffered", "unbuffered"])
+def test_closed_stdout_pipe_ends_the_process_quietly(tmp_path, unbuffered):
+    """A reader gone before the process writes, as `| head` leaves it, ends
+    the process with exit code 141 and nothing on stderr.  Block-buffered,
+    stdout meets the closed pipe at run's flush, after every output file
+    is written; unbuffered, at main's first print."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsb_lab.cli", "verify",
+             os.path.join(DEMOS, "rigid_body_so3.json"), "--out",
+             str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+    if not unbuffered:
+        assert sorted(os.listdir(tmp_path)) == [
+            "rigid_body_so3.csv", "rigid_body_so3_report.json"]
+
+
 def test_verify_loads_neither_numpy_random_nor_openssl(tmp_path):
     # a riccati verify with the closed-loop audit, the digest and both
     # outputs leaves numpy.random unloaded, and OpenSSL's _hashlib too
@@ -702,6 +751,22 @@ def test_package_exports_the_module_lists():
     assert all(hasattr(lsb_lab, name) for name in names)
     assert names == ["__version__", *errors.__all__, *groups.__all__,
                      *actions.__all__, *dynamics.__all__, *verify.__all__]
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the tracer wraps each (home module, name) it lists by getattr, so a
+    # name removed from the package would crash every traced benchmark run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bound = [(home, attr) for home, attr, _ in
+             [*tracing.SPAN_TARGETS, *tracing.COUNTER_TARGETS,
+              tracing.SCENARIO_CLASS] if home.startswith("lsb_lab.")]
+    assert bound
+    assert [(home, attr) for home, attr in bound
+            if not hasattr(importlib.import_module(home), attr)] == []
 
 
 INTEGRATORS = ("integrate_euler_poincare", "reconstruct_group",
