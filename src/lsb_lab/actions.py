@@ -113,19 +113,17 @@ def _line_scalar(space: StateSpace, x) -> complex | float:
 def line_generator_polynomials(group: GroupId,
                                B: ConnectionCoefficients) -> np.ndarray:
     """Coefficient rows (constant, linear, quadratic) of the three line
-    generators, as a (3, 3) array over the group's scalars."""
-    bp, bm, b0 = B.diag
-    if group is GroupId.SL2R:
-        rows = [(bp, 0.0, 0.0), (0.0, 0.0, -bm), (0.0, 2.0 * b0, 0.0)]
-        return np.array(rows, dtype=np.float64)
-    if group is GroupId.SU2:
-        rows = [(bp, 0.0, bp), (1j * bm, 0.0, -1j * bm), (0.0, 2j * b0, 0.0)]
-    elif group is GroupId.SO21:
-        rows = [(0.0, 2j * bp, 0.0), (1j * bm, 0.0, 1j * bm), (-b0, 0.0, b0)]
-    else:
-        raise UnsupportedProblemError(
-            f"no line generators for {group.value}")
-    return np.array(rows, dtype=np.complex128)
+    generators, as a (3, 3) array over the group's scalars.
+
+    Row a is B_a times the Moebius image of the basis matrix
+    e_a = [[u, v], [w, -u]]: the derivative at t = 0 of
+    x -> Moebius(1 + t e_a, x) is v + 2 u x - w x^2.  Adding 0.0 clears
+    negative zeros.
+    """
+    if group not in _LINE_GROUPS:
+        raise UnsupportedProblemError(f"no line generators for {group.value}")
+    moebius = _BASES[group][:, [0, 0, 1], [1, 0, 0]] * (1.0, 2.0, -1.0)
+    return B.diag[:, None] * moebius + 0.0
 
 
 def generator_field(space: StateSpace, B: ConnectionCoefficients, x):
@@ -148,8 +146,6 @@ def riccati_coefficients(group: GroupId, xi: AlgebraElement,
                          B: ConnectionCoefficients):
     """Coefficients (a, b, c) of the line control field a x^2 + b x + c
     induced by the algebra element xi.  Linear in xi."""
-    if group is GroupId.SO3:
-        raise UnsupportedProblemError("so3 has no line action here")
     if xi.group is not group:
         raise DomainError(f"group mismatch: {xi.group.value} vs {group.value}")
     rows = line_generator_polynomials(group, B)

@@ -211,10 +211,12 @@ def run(argv=None):
     interpreter's teardown.  A closed pipe on stdout or stderr, met by
     ``main`` or by the flush (as ``| head`` leaves it), ends the process
     the same way with exit code 141 and no traceback; whatever the streams
-    still buffer is dropped.  Any other exception from ``main`` (argparse's
-    SystemExit included) still goes through normal shutdown.  ``main``
-    never touches GC state or ends the process, because tests and tracers
-    call it many times in one process.
+    still buffer is dropped.  Any other exception from ``main`` still goes
+    through normal shutdown.  So does argparse's SystemExit (``--help``,
+    ``--version``, a usage error), once stdout is flushed here, where a
+    closed pipe still ends the process with 141.  ``main`` never touches
+    GC state or ends the process, because tests and tracers call it many
+    times in one process.
     """
     gc.freeze()
     try:
@@ -223,6 +225,12 @@ def run(argv=None):
         sys.stderr.flush()
     except BrokenPipeError:
         code = _EXIT_CLOSED_PIPE
+    except SystemExit:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os._exit(_EXIT_CLOSED_PIPE)
+        raise
     os._exit(code)
 
 

@@ -3,8 +3,9 @@
 Supported groups: SO(3) as real 3x3 rotations, SU(2) and a 2x2 complex
 realization of SO(2,1) as unitary-type groups, and SL(2,R) as real 2x2
 unimodular matrices.  Each group carries a fixed ordered basis of its Lie
-algebra, integer structure constants for that basis, a quadratic trace
-pairing, and a diagonal inertia operator acting on coefficient vectors.
+algebra, the integer structure constants of that basis (its commutators
+split on the basis), and a diagonal inertia operator acting on coefficient
+vectors.
 
 Coefficient slot order is (plus, minus, zero) for the three 2x2 groups and
 (axis 1, axis 2, axis 3) for SO(3).  SO(3) and SL(2,R) work over real
@@ -28,7 +29,6 @@ __all__ = [
     "basis",
     "structure_constants",
     "bracket",
-    "killing_form",
     "exp_map",
     "exp_matrices",
     "group_identity",
@@ -104,31 +104,16 @@ def basis(group: GroupId) -> np.ndarray:
     return _BASES[group].copy()
 
 
-def _build_structure_constants() -> dict[GroupId, np.ndarray]:
-    tables = {}
-
-    def fill(pairs):
-        # pairs: {(a, b): {c: value}} for a < b; antisymmetry fills the rest
-        C = np.zeros((3, 3, 3), dtype=np.int64)
-        for (a, b), comps in pairs.items():
-            for c, v in comps.items():
-                C[a, b, c] = v
-                C[b, a, c] = -v
-        return C
-
-    eps = np.zeros((3, 3, 3), dtype=np.int64)
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps[i, j, k] = 1
-        eps[j, i, k] = -1
-    tables[GroupId.SO3] = eps
-
-    tables[GroupId.SL2R] = fill({(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
-    tables[GroupId.SU2] = fill({(0, 1): {2: 2}, (0, 2): {1: -2}, (1, 2): {0: 2}})
-    tables[GroupId.SO21] = fill({(0, 1): {2: 2}, (0, 2): {1: -2}, (1, 2): {0: -2}})
-    return tables
+def _split_commutators(E: np.ndarray) -> np.ndarray:
+    # [E_a, E_b] split on the basis by least squares over the flattened
+    # matrices; the splits are integers to roundoff
+    comm = E[:, None] @ E[None] - E[None] @ E[:, None]
+    split = np.linalg.lstsq(E.reshape(3, -1).T, comm.reshape(9, -1).T,
+                            rcond=None)[0]
+    return np.rint(split.real.T).astype(np.int64).reshape(3, 3, 3)
 
 
-_STRUCTURE = _build_structure_constants()
+_STRUCTURE = {group: _split_commutators(E) for group, E in _BASES.items()}
 
 
 def structure_constants(group: GroupId) -> np.ndarray:
@@ -172,26 +157,6 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(group, out)
 
 
-_TRANSPOSE_PAIRING = {GroupId.SO3: True, GroupId.SL2R: True,
-                      GroupId.SU2: False, GroupId.SO21: False}
-
-
-def killing_form(a: AlgebraElement, b: AlgebraElement):
-    """Quadratic trace pairing 4*Tr(a^T b) (SO3, SL2R) or 4*Tr(a b) (SU2, SO21).
-
-    The transpose variant is positive definite for SO3 and SL2R; the plain
-    variant is the one satisfying ad-invariance
-    <[a,b],c> + <b,[a,c]> = 0 (asserted for SU2).
-    """
-    group = _require_same_group(a, b)
-    A, B = a.matrix(), b.matrix()
-    if _TRANSPOSE_PAIRING[group]:
-        val = 4.0 * np.trace(A.T @ B)
-    else:
-        val = 4.0 * np.trace(A @ B)
-    return val if group.is_complex else float(np.real(val))
-
-
 class GroupElement(Record):
     """Group element as a dense matrix; the defining constraint is checked
     against `constraint_residual` with tolerance CONSTRAINT_TOL."""
@@ -207,9 +172,6 @@ class GroupElement(Record):
             raise DomainError("matrix entries must be finite")
         m.flags.writeable = False
         self._set(group=group, matrix=m)
-
-    def is_valid(self, tol: float = CONSTRAINT_TOL) -> bool:
-        return constraint_residual(self) <= tol
 
 
 _SO21_METRIC = np.diag([1.0, -1.0]).astype(complex)

@@ -50,6 +50,7 @@ from .errors import (
     ScenarioError,
 )
 from .groups import (
+    CONSTRAINT_TOL,
     AlgebraElement,
     GroupElement,
     GroupId,
@@ -276,10 +277,11 @@ def _parse_group_element(group, v, path):
         el = GroupElement(group, m)
     except DomainError as e:
         raise ScenarioError(path, str(e)) from None
-    if not el.is_valid():
+    residual = constraint_residual(el)
+    if not residual <= CONSTRAINT_TOL:
         raise ScenarioError(
             path, f"matrix violates the {group.value} constraint "
-                  f"(residual {constraint_residual(el):.3e})")
+                  f"(residual {residual:.3e})")
     return el
 
 
@@ -541,7 +543,7 @@ def _rk4_order(scn):
     except DegenerateInputError as e:
         # no measurable order at roundoff: a failing entry, gated like
         # the check's own band |ratio - 16| <= 4
-        return (CheckResult.from_residual(
+        return (CheckResult(
             "rk4_order", np.inf, 4.0,
             details=f"order not measurable: {e}"),)
 
@@ -573,7 +575,7 @@ def _closed_form(scn):
     try:
         ext = scn.line_extremal
     except DivergenceError as e:
-        return (CheckResult.from_residual(
+        return (CheckResult(
             "closed_form", np.inf, 1e-7,
             details=(f"numeric closed loop diverged near t = "
                      f"{e.escape_time:.6g}; no finite gap to report")),)

@@ -53,25 +53,17 @@ __all__ = [
 
 
 class CheckResult(Record):
-    """One named residual measurement with its gate."""
+    """One named residual measurement with its gate; it passes when
+    max_residual <= tolerance."""
 
     __slots__ = ("name", "max_residual", "tolerance", "passed", "details")
 
     def __init__(self, name: str, max_residual: float, tolerance: float,
-                 passed: bool, details: str = ""):
-        # pass flag must agree with the residual/tolerance comparison;
+                 details: str = ""):
         # NaN and inf residuals compare as failing
-        expected = bool(max_residual <= tolerance)
-        if passed != expected:
-            raise DomainError("pass flag inconsistent with residual")
-        self._set(name=name, max_residual=max_residual, tolerance=tolerance,
-                  passed=passed, details=details)
-
-    @classmethod
-    def from_residual(cls, name, max_residual, tolerance, details=""):
         r = float(max_residual)
-        return cls(name=name, max_residual=r, tolerance=float(tolerance),
-                   passed=bool(r <= tolerance), details=details)
+        self._set(name=name, max_residual=r, tolerance=float(tolerance),
+                  passed=bool(r <= tolerance), details=details)
 
     def to_dict(self):
         return {
@@ -168,10 +160,10 @@ def check_equivalence_rigid(J: InertiaOperator, lift):
 
     tol = _residual_tolerance(lift.step)
     return (
-        CheckResult.from_residual(
+        CheckResult(
             "equivalence_rigid.control", r_control, tol,
             details=f"max |x' - x xi| = {r_control:.6e} over {n} samples"),
-        CheckResult.from_residual(
+        CheckResult(
             "equivalence_rigid.constraint", r_constraint, tol,
             details=("max |x^H p - p^H x - J xi| = "
                      f"{r_constraint:.6e} over {n} samples")),
@@ -198,7 +190,7 @@ def check_cross_ratio(family: Trajectory):
     cr = ((x1 - x3) * (x2 - x4)) / ((x1 - x4) * (x2 - x3))
     cr0 = cr[0]
     drift = float(np.abs(cr - cr0).max() / abs(cr0))
-    return CheckResult.from_residual(
+    return CheckResult(
         "cross_ratio", drift, 1e-8,
         details=f"cross-ratio {cr0!r}, relative drift {drift:.6e}")
 
@@ -236,7 +228,7 @@ def check_action_equality(J: InertiaOperator, B: ConnectionCoefficients,
         pre_scale = pre_scale.sum(axis=-1)
     r_pre = float((pre_res / (1.0 + pre_scale)).max())
     if r_pre > tol:
-        return CheckResult.from_residual(
+        return CheckResult(
             "action_equality", np.inf, tol,
             details=("control-equation precheck failed: central-difference "
                      f"residual {r_pre:.6e} > {tol:.6e}; the action "
@@ -248,7 +240,7 @@ def check_action_equality(J: InertiaOperator, B: ConnectionCoefficients,
     S_lifted = quadrature(times, clebsch_lagrangian(
         space, B, J, x, p, xdot, xi).astype(np.complex128))
     gap = abs(S_lifted - S_plain) / (1.0 + abs(S_plain))
-    return CheckResult.from_residual(
+    return CheckResult(
         "action_equality", gap, tol,
         details=(f"S_plain = {S_plain!r}, S_lifted = {S_lifted!r}, "
                  f"precheck residual {r_pre:.6e}"))
@@ -264,7 +256,7 @@ def check_closed_form(params, traj: Trajectory):
     gap_x = float(np.abs(traj.x - xf).max())
     gap_p = float(np.abs(traj.p - pf).max())
     gap = max(gap_x, gap_p)
-    return CheckResult.from_residual(
+    return CheckResult(
         "closed_form", gap, 1e-7,
         details=(f"sup gap x {gap_x:.6e}, p {gap_p:.6e}; "
                  f"max |x_num| {float(np.abs(traj.x).max()):.6g}"))
@@ -288,10 +280,10 @@ def check_conservation(J: InertiaOperator, traj: Trajectory):
     d_e = float(np.abs(energy - energy[0]).max())
     d_c = float(np.abs(casimir - casimir[0]).max())
     return (
-        CheckResult.from_residual(
+        CheckResult(
             "energy_conservation", d_e, 1e-6,
             details=f"energy {energy[0]!r}, max drift {d_e:.6e}"),
-        CheckResult.from_residual(
+        CheckResult(
             "casimir_conservation", d_c, 1e-6,
             details=f"mu^T K^-1 mu {casimir[0]!r}, max drift {d_c:.6e}"),
     )
@@ -317,7 +309,7 @@ def check_hamiltonian_conservation(B: ConnectionCoefficients,
     X = generator_field(moebius_line(traj.group), B, traj.x)
     H = 0.5 * p * p * (X * X / J.coeffs).sum(axis=1)
     drift = float(np.abs(H - H[0]).max() / (1.0 + abs(H[0])))
-    return CheckResult.from_residual(
+    return CheckResult(
         "hamiltonian_conservation", drift, 1e-6,
         details=f"H {H[0]!r}, relative drift {drift:.6e}")
 
@@ -349,7 +341,7 @@ def check_rk4_order(group: GroupId, J: InertiaOperator, xi0: AlgebraElement,
             f"terminal errors at roundoff level ({e1:.3e}); "
             "use a coarser step for the order measurement")
     ratio = e1 / e2
-    return CheckResult.from_residual(
+    return CheckResult(
         "rk4_order", abs(ratio - 16.0), 4.0,
         details=(f"terminal-error ratio {ratio:.4f} "
                  f"(errors {e1:.3e} / {e2:.3e}, band [12, 20])"))
@@ -441,5 +433,5 @@ def check_closed_loop_audit():
          "denominator where the derivation gives I-; the implementation "
          "follows the derivation"),
     ]
-    return CheckResult.from_residual(
+    return CheckResult(
         "closed_loop_audit", self_res, 1e-14, details="; ".join(notes))

@@ -42,24 +42,37 @@ def _random_xi(gid, rng, scale=1.0):
     return AlgebraElement(gid, c.astype(gid.scalar_dtype))
 
 
+def _written_rows(gid, bp, bm, b0):
+    if gid is GroupId.SL2R:
+        rows = [(bp, 0.0, 0.0), (0.0, 0.0, -bm), (0.0, 2.0 * b0, 0.0)]
+        return np.array(rows, dtype=np.float64)
+    if gid is GroupId.SU2:
+        rows = [(bp, 0.0, bp), (1j * bm, 0.0, -1j * bm), (0.0, 2j * b0, 0.0)]
+    else:
+        rows = [(0.0, 2j * bp, 0.0), (1j * bm, 0.0, 1j * bm), (-b0, 0.0, b0)]
+    return np.array(rows, dtype=np.complex128)
+
+
 def test_generator_polynomial_tables():
-    """Coefficient rows (constant, linear, quadratic) per slot, pinned."""
-    bp, bm, b0 = 1.1, 0.7, 1.3
-    B = ConnectionCoefficients(np.array([bp, bm, b0]))
-    rows = line_generator_polynomials(GroupId.SL2R, B)
-    npt.assert_allclose(rows[0], [bp, 0.0, 0.0])
-    npt.assert_allclose(rows[1], [0.0, 0.0, -bm])
-    npt.assert_allclose(rows[2], [0.0, 2.0 * b0, 0.0])
-    rows = line_generator_polynomials(GroupId.SU2, B)
-    npt.assert_allclose(rows[0], [bp, 0.0, bp])
-    npt.assert_allclose(rows[1], [1j * bm, 0.0, -1j * bm])
-    npt.assert_allclose(rows[2], [0.0, 2j * b0, 0.0])
-    rows = line_generator_polynomials(GroupId.SO21, B)
-    npt.assert_allclose(rows[0], [0.0, 2j * bp, 0.0])
-    npt.assert_allclose(rows[1], [1j * bm, 0.0, 1j * bm])
-    npt.assert_allclose(rows[2], [-b0, 0.0, b0])
+    """Coefficient rows (constant, linear, quadratic) per slot, pinned to
+    the written formulas: in value for every B, and in bytes for positive
+    B and on sl2r (on su2/so21 a negative coefficient may flip the sign of
+    a zero part)."""
+    rng = np.random.default_rng(29)
+    draws = [np.array([1.1, 0.7, 1.3])]
+    draws += [rng.uniform(0.05, 3.0, 3) for _ in range(50)]
+    for gid in LINE_GROUPS:
+        for b in draws:
+            for d in (b, b * rng.choice([-1.0, 1.0], 3)):
+                want = _written_rows(gid, *d)
+                rows = line_generator_polynomials(gid,
+                                                  ConnectionCoefficients(d))
+                assert rows.dtype == want.dtype
+                npt.assert_array_equal(rows, want)
+                if gid is GroupId.SL2R or (d > 0).all():
+                    assert rows.tobytes() == want.tobytes()
     with pytest.raises(UnsupportedProblemError):
-        line_generator_polynomials(GroupId.SO3, B)
+        line_generator_polynomials(GroupId.SO3, B_ONE)
 
 
 def test_generator_field_values():

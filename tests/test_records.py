@@ -66,10 +66,6 @@ REJECTED = [
      "transverse inertia I must be nonzero"),
     (lambda: SymmetricSolutionParams(1.0, 1.0, B_minus=0.0),
      "all connection coefficients must be nonzero"),
-    (lambda: CheckResult("x", 2.0, 1.0, True),
-     "pass flag inconsistent with residual"),
-    (lambda: CheckResult("x", np.nan, 1.0, True),
-     "pass flag inconsistent with residual"),
 ]
 
 
@@ -91,8 +87,8 @@ def _records():
         IntegratorConfig(),
         Trajectory(SU2, TIMES, xi=np.zeros((3, 3))),
         SymmetricSolutionParams(1.0, 2.0),
-        CheckResult.from_residual("energy", 1e-9, 1e-6),
-        VerificationReport([CheckResult.from_residual("energy", 1e-9, 1e-6)]),
+        CheckResult("energy", 1e-9, 1e-6),
+        VerificationReport([CheckResult("energy", 1e-9, 1e-6)]),
     ]
 
 
@@ -125,7 +121,7 @@ def test_repr_shows_field_values():
         "IntegratorConfig(method='euler', step=0.5, horizon=2.0)"
     assert repr(StateSpace("moebius_line", SU2)) == \
         "StateSpace(kind='moebius_line', group=<GroupId.SU2: 'su2'>)"
-    assert repr(CheckResult("energy", 0.0, 1e-6, True)) == (
+    assert repr(CheckResult("energy", 0.0, 1e-6)) == (
         "CheckResult(name='energy', max_residual=0.0, tolerance=1e-06, "
         "passed=True, details='')")
     assert repr(ConnectionCoefficients([1, 2, 3])) == \

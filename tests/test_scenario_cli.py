@@ -592,29 +592,37 @@ def test_console_script_entry_point(tmp_path, capsys):
         assert _output_bytes(out) == from_process
 
 
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["block-buffered", "unbuffered"])
-def test_closed_stdout_pipe_ends_the_process_quietly(tmp_path, unbuffered):
+@pytest.mark.parametrize("command, unbuffered",
+                         [("verify", False), ("verify", True),
+                          ("--help", False), ("--version", False)],
+                         ids=["block-buffered", "unbuffered", "help",
+                              "version"])
+def test_closed_stdout_pipe_ends_the_process_quietly(tmp_path, command,
+                                                     unbuffered):
     """A reader gone before the process writes, as `| head` leaves it, ends
     the process with exit code 141 and nothing on stderr.  Block-buffered,
     stdout meets the closed pipe at run's flush, after every output file
-    is written; unbuffered, at main's first print."""
+    is written; unbuffered, at main's first print.  argparse's --help and
+    --version text meets it at the flush run makes before their SystemExit
+    goes on to normal shutdown."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    argv = [command]
+    if command == "verify":
+        argv += [os.path.join(DEMOS, "rigid_body_so3.json"), "--out",
+                 str(tmp_path)]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "lsb_lab.cli", "verify",
-             os.path.join(DEMOS, "rigid_body_so3.json"), "--out",
-             str(tmp_path)],
+            [sys.executable, "-m", "lsb_lab.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
-    if not unbuffered:
+    if command == "verify" and not unbuffered:
         assert sorted(os.listdir(tmp_path)) == [
             "rigid_body_so3.csv", "rigid_body_so3_report.json"]
 

@@ -79,27 +79,23 @@ def _symmetric_loop(group, pars, cfg):
         inertia_diagonal(group, pars.I, pars.I, pars.I0), x0, p0, cfg)
 
 
-def test_check_result_consistency_enforced():
-    CheckResult("ok", 1e-9, 1e-6, True)
-    CheckResult("bad", 2e-6, 1e-6, False)
-    with pytest.raises(DomainError):
-        CheckResult("lie", 2e-6, 1e-6, True)
-    with pytest.raises(DomainError):
-        CheckResult("lie", 1e-9, 1e-6, False)
-
-
 def test_check_result_from_residual():
-    r = CheckResult.from_residual("x", 0.5, 1.0, details="fine")
+    # the pass flag is the comparison residual <= tolerance, made once in
+    # the constructor; inf and NaN residuals fail
+    r = CheckResult("x", 0.5, 1.0, details="fine")
     assert r.passed and r.details == "fine"
-    assert not CheckResult.from_residual("x", np.inf, 1.0).passed
-    assert not CheckResult.from_residual("x", np.nan, 1.0).passed
+    assert CheckResult("x", 1.0, 1.0).passed
+    assert not CheckResult("x", 2e-6, 1e-6).passed
+    assert not CheckResult("x", np.inf, 1.0).passed
+    assert not CheckResult("x", np.nan, 1.0).passed
+    assert type(CheckResult("x", np.float64(0.5), 1).max_residual) is float
     d = r.to_dict()
     assert set(d) == {"name", "max_residual", "tolerance", "passed", "details"}
 
 
 def test_report_aggregation():
-    good = CheckResult.from_residual("a", 0.0, 1.0)
-    bad = CheckResult.from_residual("b", 2.0, 1.0)
+    good = CheckResult("a", 0.0, 1.0)
+    bad = CheckResult("b", 2.0, 1.0)
     assert VerificationReport((good,)).all_passed
     rep = VerificationReport((good, bad), scenario_digest="beef")
     assert not rep.all_passed
