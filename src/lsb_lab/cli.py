@@ -24,8 +24,15 @@ EXIT_DIVERGED = 3
 _EXIT_CLOSED_PIPE = 141
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops an OSError from writing its own text (help, version,
+    # usage); written and flushed here, a closed pipe raises, inside main
+    def _print_message(self, message, file=None):
+        print(message or "", end="", file=file or sys.stderr, flush=True)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lsb-lab",
         description="Simulate and certify optimal-control flows on matrix "
                     "Lie groups from JSON scenario files.")
@@ -211,12 +218,12 @@ def run(argv=None):
     interpreter's teardown.  A closed pipe on stdout or stderr, met by
     ``main`` or by the flush (as ``| head`` leaves it), ends the process
     the same way with exit code 141 and no traceback; whatever the streams
-    still buffer is dropped.  Any other exception from ``main`` still goes
-    through normal shutdown.  So does argparse's SystemExit (``--help``,
-    ``--version``, a usage error), once stdout is flushed here, where a
-    closed pipe still ends the process with 141.  ``main`` never touches
-    GC state or ends the process, because tests and tracers call it many
-    times in one process.
+    still buffer is dropped.  argparse's own text (``--help``,
+    ``--version``, a usage error) is flushed as it is written, so a closed
+    pipe meets it inside ``main`` too, buffered or not.  Any other
+    exception from ``main`` still goes through normal shutdown, and so does
+    argparse's SystemExit.  ``main`` never touches GC state or ends the
+    process, because tests and tracers call it many times in one process.
     """
     gc.freeze()
     try:
@@ -225,12 +232,6 @@ def run(argv=None):
         sys.stderr.flush()
     except BrokenPipeError:
         code = _EXIT_CLOSED_PIPE
-    except SystemExit:
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            os._exit(_EXIT_CLOSED_PIPE)
-        raise
     os._exit(code)
 
 

@@ -1,14 +1,17 @@
 """Time integration of the reduced, reconstructed, and extremal flows.
 
 Covers: the reduced body-velocity equations and their group reconstruction,
-optimal-feedback extremal flows on the line (which drive Riccati equations
-and can blow up in finite time), lifted extremals on the group manifold
-(the reconstructed group curve carried to their start point, since the lift
-x' = x xi solves the reconstruction's own linear equation), closed-form
-symmetric-case solutions, and quadrature of the running cost.
+optimal-feedback extremal flows on the line (which drive Riccati equations;
+they are marched in Clebsch variables, a bilinear flow with no pole whose
+readout on the sl2r line blows up in finite time), lifted extremals on the
+group manifold (the reconstructed group curve carried to their start point,
+since the lift x' = x xi solves the reconstruction's own linear equation),
+closed-form symmetric-case solutions, and quadrature of the running cost.
 
 All steppers work on a uniform grid.  Fourth-order Runge-Kutta is the
-default; explicit Euler is available for comparison runs.
+default; explicit Euler is available for comparison runs.  One generated
+step serves both autonomous marches, the reduced flow and the Clebsch
+march (_autonomous_step).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .groups import (
     GroupElement,
     GroupId,
     InertiaOperator,
+    _BASES,
     _STRUCTURE,
     exp_matrices,
 )
@@ -199,61 +203,46 @@ def euler_poincare_rhs(group: GroupId, J: InertiaOperator,
     return AlgebraElement(group, field(*xi.coeffs.tolist()))
 
 
-# Each flow has its own step, an advance(k, y) for _march with an explicit
-# Euler and a classical RK4 branch.  A step unpacks the state into local
-# Python scalars and hands them to a field that takes the scalars as
-# arguments, so a stage builds no list and runs no loop: at two or three
-# components, scalar arithmetic costs a few microseconds per step where
-# small numpy arrays or per-stage lists cost tens.  The scalars are complex
-# only where the state is.  The reduced flow, the line closed loop and a
-# family driven by real coefficient rows have real coefficients on every
-# group, so a real start of any of them marches on floats (_real_start
-# says why that is exact); on su2 and so21 only a start with a nonzero
-# imaginary part or a negative zero marches on complex scalars.  The
-# reduced field is six products, generated from the nonzero pattern of the
-# coadjoint table on every group (_euler_poincare_field).
+# The reduced flow and the line extremal's Clebsch march are autonomous
+# flows of a few scalars, and one generated step serves both: an
+# advance(k, y) for _march with an explicit Euler and a classical RK4 branch
+# (_autonomous_step).  A step unpacks the state into local Python scalars
+# and hands them to a field that takes the scalars as arguments, so a stage
+# builds no list and runs no loop: at three or four components, scalar
+# arithmetic costs a few microseconds per step where small numpy arrays or
+# per-stage lists cost tens.  The scalars are complex only where the state
+# is.  Both fields, and a family driven by real coefficient rows, have real
+# coefficients on every group, so a real start of any of them marches on
+# floats (_real_start says why that is exact); on su2 and so21 only a start
+# with a nonzero imaginary part or a negative zero marches on complex
+# scalars.  The reduced field is six products, generated from the nonzero
+# pattern of the coadjoint table on every group (_euler_poincare_field).
 
-def _euler_poincare_step(method: str, f, h: float):
-    # xi' = f(xi_0, xi_1, xi_2), autonomous
-    h2, h6 = h / 2.0, h / 6.0
+@functools.cache
+def _generated(source: str, name: str):
+    # the function named factory that source defines, compiled once
+    namespace = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _autonomous_step(method: str, f, h: float, n: int):
+    """The step of y' = f(y_0, ..., y_{n-1}) for _march, straight-line
+    code on the n state scalars, compiled once per method and n."""
+    def row(term):
+        return ", ".join(term.format(i) for i in range(n))
+    body = [f"{row('v{}')} = y", f"{row('a{}')} = f({row('v{}')})"]
     if method == "euler":
-        def step(k, y):
-            v0, v1, v2 = y
-            a0, a1, a2 = f(v0, v1, v2)
-            return v0 + h * a0, v1 + h * a1, v2 + h * a2
-        return step
-
-    def step(k, y):
-        v0, v1, v2 = y
-        a0, a1, a2 = f(v0, v1, v2)
-        b0, b1, b2 = f(v0 + h2 * a0, v1 + h2 * a1, v2 + h2 * a2)
-        c0, c1, c2 = f(v0 + h2 * b0, v1 + h2 * b1, v2 + h2 * b2)
-        d0, d1, d2 = f(v0 + h * c0, v1 + h * c1, v2 + h * c2)
-        return (v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                v2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-    return step
-
-
-def _line_step(method: str, f, h: float):
-    # (x, p)' = f(x, p), autonomous
-    h2, h6 = h / 2.0, h / 6.0
-    if method == "euler":
-        def step(k, y):
-            x, p = y
-            ax, ap = f(x, p)
-            return x + h * ax, p + h * ap
-        return step
-
-    def step(k, y):
-        x, p = y
-        ax, ap = f(x, p)
-        bx, bp = f(x + h2 * ax, p + h2 * ap)
-        cx, cp = f(x + h2 * bx, p + h2 * bp)
-        dx, dp = f(x + h * cx, p + h * cp)
-        return (x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx),
-                p + h6 * (ap + 2.0 * bp + 2.0 * cp + dp))
-    return step
+        body.append(f"return ({row('v{0} + h * a{0}')})")
+    else:
+        body += [f"{row('b{}')} = f({row('v{0} + h2 * a{0}')})",
+                 f"{row('c{}')} = f({row('v{0} + h2 * b{0}')})",
+                 f"{row('d{}')} = f({row('v{0} + h * c{0}')})",
+                 "return ({})".format(row(
+                     "v{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})"))]
+    source = ("def factory(f, h, h2, h6):\n    def step(k, y):\n        "
+              + "\n        ".join(body) + "\n    return step\n")
+    return _generated(source, f"{method} step")(f, h, h / 2.0, h / 6.0)
 
 
 def _riccati_step(method: str, ends: list, mids: list, h: float):
@@ -354,12 +343,11 @@ def _march(advance, y0, times: np.ndarray, message: str,
     return ys
 
 
-@functools.cache
 def _bilinear_field(pattern: tuple):
     """Factory of the closure field(v0, v1, v2) whose component c is the
     sum of v_a * (t_k * v_b) over the entries k = (c, a, b) of pattern, in
     order.  The factory takes the coefficients t_k and binds them as the
-    closure's cells.  Compiled once per pattern."""
+    closure's cells.  Compiled once per pattern (_generated)."""
     rows = [[] for _ in range(3)]
     for k, (c, a, b) in enumerate(pattern):
         rows[c].append(f"v{a} * (t{k} * v{b})")
@@ -368,9 +356,7 @@ def _bilinear_field(pattern: tuple):
               f"    def field(v0, v1, v2):\n"
               f"        return ({', '.join(' + '.join(r) for r in rows)})\n"
               f"    return field\n")
-    namespace = {}
-    exec(compile(source, "<euler-poincare field>", "exec"), namespace)
-    return namespace["factory"]
+    return _generated(source, "euler-poincare field")
 
 
 def _euler_poincare_field(group: GroupId, J: InertiaOperator):
@@ -409,8 +395,8 @@ def integrate_euler_poincare(group: GroupId, J: InertiaOperator,
     if J.group is not group:
         raise DomainError("group mismatch in reduced dynamics")
     times = cfg.times()
-    step = _euler_poincare_step(cfg.method, _euler_poincare_field(group, J),
-                                cfg.step)
+    step = _autonomous_step(cfg.method, _euler_poincare_field(group, J),
+                            cfg.step, 3)
     # the field's coefficients T are real on every group
     ys = _march(step, _real_start(xi0.coeffs.tolist()), times,
                 "body velocity left the finite range near t = {t:.6g}")
@@ -463,37 +449,54 @@ def _line_point(group: GroupId, *values) -> list:
     return [_line_scalar(space, v) for v in values]
 
 
-def _line_loop(group: GroupId, B: ConnectionCoefficients,
-               J: InertiaOperator):
-    """The optimal feedback and the closed loop on the line, as closed
-    formulas on Python scalars or on arrays of points alike.
+# The line extremal is marched in Clebsch variables (Cendra-Marsden, "Lin
+# constraints, Clebsch potentials and variational principles", Physica D
+# 27, 1987): a vector u and a covector q of the defining representation,
+# read on the line as the point x = u1 / u2 and its costate p = q1 u2.
+# The optimal control xi_a = B_a q^T E_a u / I_a turns the extremal into the
+# bilinear flow u' = M u, q' = -M^T q with M = sum_a B_a xi_a E_a, which
+# keeps the Lin constraint q^T u = 0 and has no pole: where x passes
+# through infinity, u2 passes through zero.
 
-    With generators X_a(x), the diagonal coefficients I_a of J and the
-    quartic Q(x) = sum_a X_a(x)^2 / I_a, control(x, p) is the feedback
-    xi_a = p X_a(x) / I_a, and field(x, p) is the Hamiltonian flow of
-    H = p^2 Q(x) / 2: xdot = p Q(x) and pdot = -p^2 Q'(x) / 2.
+def _clebsch_field(group: GroupId, B: ConnectionCoefficients,
+                   J: InertiaOperator):
+    """The Clebsch flow field(u1, u2, q1, q2) = (u', q') as a closed
+    formula on Python scalars or on arrays of points alike.
 
-    Each generator row is purely real or purely imaginary, so Q's
-    coefficients are real on every group and held as floats: the loop
-    marches a real start on floats, and a complex operand promotes a
-    coefficient q to complex(q, 0.0).
+    With E_a = [[alpha, beta], [gamma, -alpha]] = basis(group)[a] and
+    v_a = (alpha, beta, gamma), the pairing q^T E_a u is v_a . w with
+    w = (q1 u1 - q2 u2, q1 u2, q2 u1), so the entries (M11, M12, M21) of M
+    are K w with K = sum_a (B_a^2 / I_a) v_a v_a^T.  Each v_a is purely
+    real or purely imaginary, so K is real on every group and held as
+    floats.
     """
-    I = J.coeffs
-    rows = line_generator_polynomials(group, B)
-    q = sum(np.convolve(r, r) / i for r, i in zip(rows, I))
-    scalar = complex if group.is_complex else float
-    gens = [[scalar(c) for c in r / i] for r, i in zip(rows, I)]
-    q0, q1, q2, q3, q4 = q.real.tolist()
-    d1, d2, d3 = 2.0 * q2, 3.0 * q3, 4.0 * q4
+    v = _BASES[group][:, [0, 0, 1], [0, 1, 0]]
+    K = np.einsum("a,ai,aj->ij", B.diag * B.diag / J.coeffs, v, v).real
+    (k0, k1, k2), (k3, k4, k5), (k6, k7, k8) = K.tolist()
 
-    def control(x, p):
-        return [p * (c0 + x * (c1 + x * c2)) for c0, c1, c2 in gens]
+    def field(u1, u2, q1, q2):
+        w0, w1, w2 = q1 * u1 - q2 * u2, q1 * u2, q2 * u1
+        m11 = k0 * w0 + k1 * w1 + k2 * w2
+        m12 = k3 * w0 + k4 * w1 + k5 * w2
+        m21 = k6 * w0 + k7 * w1 + k8 * w2
+        return (m11 * u1 + m12 * u2, m21 * u1 - m11 * u2,
+                -(m11 * q1 + m21 * q2), m11 * q2 - m12 * q1)
+    return field
 
-    def field(x, p):
-        Q = q0 + x * (q1 + x * (q2 + x * (q3 + x * q4)))
-        dQ = q1 + x * (d1 + x * (d2 + x * d3))
-        return p * Q, -0.5 * p * p * dQ
-    return control, field
+
+def _chart_rates(group, B, J, x, p):
+    # the Clebsch field at u = (x, 1), q = (p, -p x), read on the line:
+    # x = u1 / u2 and p = q1 u2 give x' = u1' - x u2' and p' = q1' + p u2'
+    du1, du2, dq1, _ = _clebsch_field(group, B, J)(x, 1.0, p, 0.0 - p * x)
+    return du1 - x * du2, dq1 + p * du2
+
+
+def _line_feedback(group, B, J, x, p):
+    # xi_a = p X_a(x) / I_a at the points x, p (arrays or scalars alike),
+    # the slots on a trailing axis
+    g = line_generator_polynomials(group, B) / J.coeffs[:, None]
+    x, p = np.asarray(x)[..., None], np.asarray(p)[..., None]
+    return p * (g[:, 0] + x * (g[:, 1] + x * g[:, 2]))
 
 
 def feedback_solve(group: GroupId, B: ConnectionCoefficients,
@@ -501,10 +504,12 @@ def feedback_solve(group: GroupId, B: ConnectionCoefficients,
     """Optimal control on the line: xi_a = p X_a(x) / I_a.
 
     This is the stationary point of the costate Hamiltonian in the control;
-    for the diagonal cost the stationarity is slot-by-slot.
+    for the diagonal cost the stationarity is slot-by-slot.  It is the
+    array expression integrate_extremal evaluates on all its samples at
+    once, read at one point.
     """
-    control, _ = _line_loop(group, B, J)
-    return AlgebraElement(group, control(*_line_point(group, x, p)))
+    return AlgebraElement(
+        group, _line_feedback(group, B, J, *_line_point(group, x, p)))
 
 
 def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients,
@@ -513,11 +518,30 @@ def closed_loop_rhs(group: GroupId, B: ConnectionCoefficients,
 
     Substituting the optimal feedback into the control coefficients gives
     xdot = a x^2 + b x + c and pdot = -(2 a x + b) p with (a, b, c)
-    evaluated at the feedback control.  Evaluated in the equal closed form
-    xdot = p Q(x), pdot = -p^2 Q'(x) / 2 with Q(x) = sum_a X_a(x)^2 / I_a.
+    evaluated at the feedback control.  Evaluated as the Clebsch field that
+    integrate_extremal marches, read at u = (x, 1), q = (p, -p x):
+    xdot = u1' - x u2' and pdot = q1' + p u2'.
     """
-    _, field = _line_loop(group, B, J)
-    return field(*_line_point(group, x, p))
+    return _chart_rates(group, B, J, *_line_point(group, x, p))
+
+
+_ESCAPE = ("extremal escaped near t = {t:.6g} (last finite sample at "
+           "t = {last:.6g})")
+
+
+def _u2_zero(field, h: float, a, b) -> float:
+    """The zero in (0, h] of the cubic Hermite interpolant of u2 over the
+    step from the Clebsch state a (u2 > 0) to b (u2 <= 0), from u2 and
+    u2' at both ends, bisected to roundoff."""
+    y0, d0, y1, d1 = a[1], h * field(*a)[1], b[1], h * field(*b)[1]
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        r = 1.0 - s
+        above = r * r * ((1.0 + 2.0 * s) * y0 + s * d0) > s * s * (
+            r * d1 - (3.0 - 2.0 * s) * y1)
+        lo, hi = (s, hi) if above else (lo, s)
+    return h * hi
 
 
 def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
@@ -526,29 +550,47 @@ def integrate_extremal(space: StateSpace, B: ConnectionCoefficients,
     """Integrate the extremal flow on the line, storing states, costates
     and controls.
 
-    The control comes from the optimal feedback, so the system is the
-    closed loop (solutions may escape in finite time; the divergence error
-    carries an escape-time estimate).  Group-manifold extremals come from
-    lift_extremal instead.
+    The march follows the Clebsch state (u1, u2, q1, q2) of _clebsch_field
+    from u0 = (x0, 1), q0 = (p0, -p0 x0).  The samples are its readout
+    x = u1 / u2, p = q1 u2, and the controls the optimal feedback
+    xi_a = p X_a(x) / I_a on them, one array expression (feedback_solve).
+    On su2 and so21, x passing through infinity is no escape and the march
+    runs on.  On sl2r the line is real and x escapes where u2 first reaches
+    zero: the first sample with u2 <= 0 stops the run with a
+    DivergenceError whose escape time is the zero of the cubic Hermite
+    interpolant of u2 over that step, from u2 and u2' = M21 u1 - M11 u2 at
+    both ends.  A Clebsch state that leaves the finite range stops the run
+    as _march does, unless a sign change of u2 among the finite samples
+    comes first.  Either error carries the readouts (x, p) of the samples
+    it keeps.  Group-manifold extremals come from lift_extremal instead.
     """
     if not space.is_line:
         raise DomainError("group-manifold extremals are the group curve "
                           "carried to (x0, p0): use lift_extremal")
-    group = space.group
-    times = cfg.times()
-    dtype = group.scalar_dtype
-    control, field = _line_loop(group, B, J)
-    ys = _march(_line_step(cfg.method, field, cfg.step),
-                _real_start(_line_point(group, x0, p0)), times,
-                "extremal escaped near t = {t:.6g} (last finite sample "
-                "at t = {last:.6g})", extrapolate=True)
-    # one pass of the feedback over the samples as Python scalars: numpy's
-    # complex multiply may fuse a multiply-add, where the scalar feedback
-    # (feedback_solve) rounds each product
-    xs, ps = np.array(ys, dtype=object).T
+    group, times, h = space.group, cfg.times(), cfg.step
+    field = _clebsch_field(group, B, J)
+    x0, p0, one = _line_point(group, x0, p0, 1.0)
+    # 0.0 - p0 x0 holds no negative zero where p0 x0 is real, so a real
+    # (x0, p0) is a real Clebsch start
+    start = _real_start([x0, one, p0, 0.0 - p0 * x0])
+    try:
+        ys, err = _march(_autonomous_step(cfg.method, field, h, 4), start,
+                         times, _ESCAPE), None
+    except DivergenceError as e:
+        ys, err = e.states, e
+    u1, u2, q1, _ = np.array(ys, dtype=group.scalar_dtype).T
+    # the sample before the first with u2 <= 0 on sl2r (u2 = 1 at sample
+    # 0, so argmax reads 0 and k = -1 where there is none)
+    k = int((u2 <= 0).argmax()) - 1 if group is GroupId.SL2R else -1
+    if k >= 0:
+        t = times[k] + _u2_zero(field, h, ys[k], ys[k + 1])
+        err = DivergenceError(_ESCAPE.format(t=t, last=times[k]), float(t), k)
+    x, p = u1 / u2, q1 * u2
+    if err is not None:
+        err.states = np.stack((x, p), axis=-1)[:err.last_index + 1].tolist()
+        raise err
     return Trajectory(group=group, times=times,
-                      xi=np.stack(control(xs, ps), axis=-1).astype(dtype),
-                      x=xs.astype(dtype), p=ps.astype(dtype))
+                      xi=_line_feedback(group, B, J, x, p), x=x, p=p)
 
 
 def lift_extremal(curve: Trajectory, x0: GroupElement, p0) -> Trajectory:
@@ -589,8 +631,7 @@ def integrate_riccati(group: GroupId, B: ConnectionCoefficients,
     error reports that earliest escape.
     """
     times = cfg.times()
-    n = times.size
-    if xi.shape != (n, 3):
+    if xi.shape != (times.size, 3):
         raise DomainError("control samples do not match the config grid")
     polys = xi @ line_generator_polynomials(group, B)  # rows (c0, c1, c2)
     family = np.ndim(x0) == 1

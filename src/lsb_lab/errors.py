@@ -37,8 +37,8 @@ class DivergenceError(ArithmeticError):
 
     Carries the estimated escape time, the last finite sample index and the
     finite states up to it (samples 0 .. last_index, as the integrator held
-    them) so callers can truncate or report instead of propagating
-    non-finite values.
+    them; the line extremal gives their readouts (x, p)) so callers can
+    truncate or report instead of propagating non-finite values.
     """
 
     def __init__(self, message: str, escape_time: float, last_index: int,

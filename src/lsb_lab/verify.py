@@ -21,7 +21,8 @@ from .actions import (
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
-    _line_loop,
+    _chart_rates,
+    _line_feedback,
     closed_form_symmetric,
     integrate_euler_poincare,
     quadrature,
@@ -383,13 +384,14 @@ def _expanded_substituted_rhs(x, p, B: ConnectionCoefficients, I_coeffs):
 def check_closed_loop_audit():
     """Audit the substituted sl2r closed loop for internal consistency.
 
-    Builds the closed loop once (the feedback and field closures behind
-    feedback_solve and closed_loop_rhs) at _AUDIT_B and _AUDIT_I, composes
-    its stationarity solve with the coefficient map at the 100 (x, p)
-    points of a fixed 10 x 10 grid on [-2, 2]^2 and compares against its
-    field and against an independently hand-expanded polynomial form of
-    the same substitution; all must agree to near machine precision.
-    Every point is evaluated at once, as arrays.
+    At _AUDIT_B and _AUDIT_I, on the 100 (x, p) points of a fixed 10 x 10
+    grid on [-2, 2]^2, reads the field integrate_extremal marches (the
+    Clebsch field at u = (x, 1), q = (p, -p x), as closed_loop_rhs reads
+    it) and compares it against two independent forms of the substituted
+    loop: the optimal feedback (feedback_solve) composed with the
+    coefficient map, and a hand-expanded polynomial form of the same
+    substitution; all must agree to near machine precision.  Every point
+    is evaluated at once, as arrays.
     The entry's details record where the self-consistent system departs
     from the printed substituted display (coefficient pairing on the
     quartic term and the cubic costate term) together with the measured
@@ -402,22 +404,19 @@ def check_closed_loop_audit():
     axis = np.linspace(-2.0, 2.0, 10)
     x, p = (g.ravel() for g in np.meshgrid(axis, axis))
 
-    control, field = _line_loop(group, B, inertia_diagonal(group, *_AUDIT_I))
-    xd_direct, pd_direct = field(x, p)
-    fb = np.stack(control(x, p), axis=-1)
+    # each form as the rows (x', p') over the grid
+    J = inertia_diagonal(group, *_AUDIT_I)
+    direct = np.array(_chart_rates(group, B, J, x, p))
+    fb = _line_feedback(group, B, J, x, p)
     _, b, a = (fb @ line_generator_polynomials(group, B)).T
-    xd_comp = infinitesimal_action(moebius_line(group), B, fb, x)
-    pd_comp = -(2.0 * a * x + b) * p
-    xd_hand, pd_hand = _expanded_substituted_rhs(x, p, B, _AUDIT_I)
-    scale = np.maximum(1.0, np.maximum(abs(xd_direct), abs(pd_direct)))
-    self_res = float(max(
-        (abs(xd_comp - xd_direct) / scale).max(),
-        (abs(pd_comp - pd_direct) / scale).max(),
-        (abs(xd_hand - xd_direct) / scale).max(),
-        (abs(pd_hand - pd_direct) / scale).max()))
-    xd_disp, pd_disp = _displayed_substituted_rhs(x, p, B, _AUDIT_I)
-    depart_x = float(abs(xd_direct - xd_disp).max())
-    depart_p = float(abs(pd_direct - pd_disp).max())
+    composed = np.array([infinitesimal_action(moebius_line(group), B, fb, x),
+                         -(2.0 * a * x + b) * p])
+    hand = np.array(_expanded_substituted_rhs(x, p, B, _AUDIT_I))
+    scale = np.maximum(1.0, abs(direct).max(axis=0))
+    self_res = float(max((abs(form - direct) / scale).max()
+                         for form in (composed, hand)))
+    depart_x, depart_p = abs(direct - np.array(_displayed_substituted_rhs(
+        x, p, B, _AUDIT_I))).max(axis=1).tolist()
 
     Bp, Bm, B0 = B.diag
     Ip, Im, I0 = _AUDIT_I

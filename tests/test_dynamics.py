@@ -43,10 +43,10 @@ from lsb_lab import (
 )
 from lsb_lab.dynamics import (
     DIVERGENCE_CAP,
+    _autonomous_step,
+    _clebsch_field,
     _euler_poincare_field,
-    _euler_poincare_step,
-    _line_loop,
-    _line_step,
+    _line_feedback,
     _march,
     _modulus,
     _riccati_step,
@@ -266,10 +266,21 @@ def test_euler_poincare_field_is_compiled_once_per_pattern():
     assert codes[GroupId.SL2R] is not codes[GroupId.SO3]
 
 
+def test_autonomous_step_is_compiled_once_per_method_and_size():
+    # the reduced flow (3 scalars) and the Clebsch march (4) share one
+    # generator; each (method, size) compiles once, whatever f and h
+    def codes(method, n):
+        return {_autonomous_step(method, f, h, n).__code__
+                for f, h in ((None, 0.1), (abs, 0.01))}
+    steps = {(m, n): codes(m, n) for m in ("rk4", "euler") for n in (3, 4)}
+    assert all(len(c) == 1 for c in steps.values())
+    assert len(set.union(*steps.values())) == 4
+
+
 def _complex_march(group, J, xi0, cfg):
     # the reduced flow marched on complex scalars whatever the start
     field = lsb_lab.dynamics._euler_poincare_field(group, J)
-    ys = _march(_euler_poincare_step(cfg.method, field, cfg.step),
+    ys = _march(_autonomous_step(cfg.method, field, cfg.step, 3),
                 [complex(c) for c in xi0.coeffs], cfg.times(), "{t}")
     ys = np.array(ys, dtype=np.complex128)
     return ys if group.is_complex else ys.real
@@ -344,16 +355,34 @@ I_SYM = inertia_diagonal(GroupId.SL2R, 1.0, 1.0, 2.0)
 I_LINE = inertia_diagonal(GroupId.SL2R, *LINE_I)
 
 
+def _clebsch_oracle(group, B, I):
+    """The Clebsch flow from the basis matrices alone, on one state array
+    (u1, u2, q1, q2): u' = M u and q' = -M^T q with
+    M = sum_a (B_a^2 / I_a) (q^T E_a u) E_a."""
+    E = basis(group)
+    c = B.diag ** 2 / np.asarray(I)
+
+    def f(y):
+        u, q = y[:2], y[2:]
+        M = np.tensordot(c * (q @ E @ u), E, axes=(0, 0))
+        return np.concatenate([M @ u, -M.T @ q])
+    return f
+
+
 def _line_extremal_reference_gap(method, group, x0, p0):
-    # relative sup gap to the method stepped through closed_loop_rhs
+    # relative sup gap to the method stepped through the matrix oracle
+    # from u0 = (x0, 1), q0 = (p0, -p0 x0), read out as x = u1 / u2 and
+    # p = q1 u2
     cfg = IntegratorConfig(method, 0.01, 1.0)
     J = inertia_diagonal(group, *LINE_I)
     ext = integrate_extremal(moebius_line(group), LINE_B, J, x0, p0, cfg)
     ref = REFERENCES[method](
-        lambda y: np.array(closed_loop_rhs(group, LINE_B, J, *y)),
-        np.array([x0, p0], dtype=group.scalar_dtype), cfg.step, cfg.n_steps)
-    return max(np.abs(ext.x - ref[:, 0]).max(),
-               np.abs(ext.p - ref[:, 1]).max()) / max(1.0, np.abs(ref).max())
+        _clebsch_oracle(group, LINE_B, LINE_I),
+        np.array([x0, 1.0, p0, -p0 * x0], dtype=group.scalar_dtype),
+        cfg.step, cfg.n_steps)
+    x, p = ref[:, 0] / ref[:, 1], ref[:, 2] * ref[:, 1]
+    return max(np.abs(ext.x - x).max(), np.abs(ext.p - p).max()) / max(
+        1.0, np.abs(x).max(), np.abs(p).max())
 
 
 @pytest.mark.parametrize("group,x0,p0", LINE_CASES)
@@ -559,28 +588,59 @@ def test_line_extremal_controls_equal_per_sample_feedback(method, group, x0,
     npt.assert_array_equal(ext.xi, ref)
 
 
-def test_line_extremal_divergence_reported():
+def _sl2r_pole(x0, p0):
+    # the first pole of the exact sl2r loop for B = (1, 1, 1) and
+    # I = (1, 1, 2): x(t) = tan(arctan x0 + p0 (1 + x0^2) t)
+    s = math.copysign(1.0, p0)
+    return (math.pi / 2.0 - s * math.atan(x0)) / (abs(p0) * (1.0 + x0 * x0))
+
+
+def _sl2r_escape(x0, p0, cfg):
     with pytest.raises(DivergenceError) as info:
-        integrate_extremal(moebius_line(GroupId.SL2R), B_ONE,
-                           I_SYM, 0.5, 1.0,
-                           IntegratorConfig("euler", 1e-3, 1.0))
-    err = info.value
-    assert err.escape_time == pytest.approx(0.9682780395712847, rel=1e-9)
-    assert err.last_index == 963
-    assert "0.968" in str(err)
+        integrate_extremal(moebius_line(GroupId.SL2R), B_ONE, I_SYM, x0, p0,
+                           cfg)
+    return info.value
+
+
+def test_line_extremal_divergence_reported():
+    # exact pole at t* = (pi/2 - arctan 0.5) / 1.25 = 0.885719; euler's
+    # u2 reaches zero 6.1e-4 early, a first-order error
+    err = _sl2r_escape(0.5, 1.0, IntegratorConfig("euler", 1e-3, 1.0))
+    assert err.escape_time == pytest.approx(0.8851072396965779, rel=1e-9)
+    assert abs(err.escape_time - _sl2r_pole(0.5, 1.0)) <= 1e-3
+    assert err.last_index == 885
+    assert len(err.states) == 886
+    assert "0.885107" in str(err)
 
 
 def test_line_extremal_rk4_divergence_reported():
-    # exact pole at t* = (arctan 0.5 + pi/2) / 2.5 = 0.8138; the fixed rk4
-    # step crosses it and the state leaves the cap two steps later
-    with pytest.raises(DivergenceError) as info:
-        integrate_extremal(moebius_line(GroupId.SL2R), B_ONE,
-                           I_SYM, 0.5, -2.0,
-                           IntegratorConfig("rk4", 1e-2, 2.0))
-    err = info.value
-    assert err.escape_time == pytest.approx(0.83, rel=1e-12)
-    assert err.last_index == 82
-    assert "(last finite sample at t = 0.82)" in str(err)
+    # exact pole at t* = (arctan 0.5 + pi/2) / 2.5 = 0.813778; the sign
+    # change of u2 over the step from t = 0.81, refined by cubic Hermite
+    # interpolation, lands 3.6e-8 from it at h = 1e-2
+    err = _sl2r_escape(0.5, -2.0, IntegratorConfig("rk4", 1e-2, 2.0))
+    assert err.escape_time == pytest.approx(0.8137776099844757, rel=1e-12)
+    assert abs(err.escape_time - _sl2r_pole(0.5, -2.0)) <= 5e-8
+    assert err.last_index == 81
+    assert "(last finite sample at t = 0.81)" in str(err)
+    # the error carries the readouts (x, p) of samples 0 .. 81
+    assert len(err.states) == 82
+    assert err.states[0] == [0.5, -2.0]
+    assert err.states[-1][0] < -100.0
+
+
+def test_random_sl2r_poles_found_to_interpolation_accuracy():
+    """Draws from the ranges of the benchmark's pole ops (t* in [0.5, 1.5],
+    x0 in [-1, 1], either sign of p0, h = 1e-3 over 2): every escape time
+    lies within 1e-8 of the exact pole (measured <= 2.2e-11)."""
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        t_star, x0 = rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)
+        s = rng.choice([-1.0, 1.0])
+        p0 = s * (math.pi / 2.0 - s * math.atan(x0)) / (t_star
+                                                        * (1.0 + x0 * x0))
+        err = _sl2r_escape(x0, p0, IntegratorConfig("rk4", 1e-3, 2.0))
+        assert abs(err.escape_time - t_star) <= 1e-8
+        assert 0.0 < err.escape_time - err.last_index * 1e-3 <= 1e-3
 
 
 def _expected_escape(y, nxt, t_prev, t, extrapolate):
@@ -714,18 +774,20 @@ def _spy_starts(monkeypatch):
 def _complex_line_marches(group, B, J, x0, p0, starts, cfg):
     """The line extremal from (x0, p0) and the family driven by its
     controls, both marched on complex scalars whatever the start, through
-    the same step functions as the package."""
-    control, field = _line_loop(group, B, J)
-    ys = _march(_line_step(cfg.method, field, cfg.step),
-                [complex(x0), complex(p0)], cfg.times(), "{t}{last}")
-    xs, ps = np.array(ys, dtype=object).T
-    xi = np.stack(control(xs, ps), axis=-1).astype(np.complex128)
+    the same field, step functions and readout as the package."""
+    x0, p0 = complex(x0), complex(p0)
+    ys = _march(_autonomous_step(cfg.method, _clebsch_field(group, B, J),
+                                 cfg.step, 4),
+                [x0, complex(1.0), p0, 0.0 - p0 * x0], cfg.times(),
+                "{t}{last}")
+    u1, u2, q1, q2 = np.array(ys, dtype=np.complex128).T
+    xs, ps = u1 / u2, q1 * u2
+    xi = _line_feedback(group, B, J, xs, ps)
     polys = xi @ line_generator_polynomials(group, B)
     step = _riccati_step(cfg.method, polys.tolist(),
                          (0.5 * (polys[:-1] + polys[1:])).tolist(), cfg.step)
     family = _march(step, [complex(v) for v in starts], cfg.times(), "{t}")
-    return (xs.astype(np.complex128), ps.astype(np.complex128), xi,
-            np.array(family, dtype=np.complex128))
+    return xs, ps, xi, np.array(family, dtype=np.complex128)
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
@@ -759,21 +821,22 @@ def test_real_line_start_marches_like_the_complex_march(monkeypatch, method,
 
 
 # sha256 of x, p and xi (in that order) of the line extremal at h = 1e-2
-# over 1 with B = (1.1, 0.7, 1.3) and I = (1.4, 1.4, 2.2): the complex
-# march's bytes, pinned so that the real-start rule cannot move them
+# over 1 with B = (1.1, 0.7, 1.3) and I = (1.4, 1.4, 2.2): the bytes of the
+# complex Clebsch march and its readout, pinned so that the real-start rule
+# cannot move them
 _COMPLEX_START_DIGESTS = {
     (GroupId.SU2, 0.3 + 0.2j, -0.25):
-        "03a0f13bd6747d415e9bad7a387778eda183e1f7fff02a0033c312d4944a0163",
+        "c1ddbfa07acfd2d330ac6cc42d9c5e349ef874fd73033e6a6936ef875c499903",
     (GroupId.SU2, complex(0.3, -0.0), -0.25):
-        "4e38c254f7c3314b6282cbad5210e0bc70632dde1838c1ced9ff298dd9317a13",
+        "92dbcb631166014a5cb70b4c6c3a0eda18ecc1ee580e5745df164ddcd05ec0af",
     (GroupId.SU2, -0.0, 0.25):
-        "6ecd39ba05f3c948db1f01ec0e0c70e8471f07ae4c326cf703f5108505e3c31b",
+        "ac077c7438743b6f9ebbe53f8c6473037dd2f1094bbebe6ed0c263fca7d20857",
     (GroupId.SO21, 0.3 + 0.2j, -0.25):
-        "9dae15a0d7c4f238722cafae8a8cf44b24b6aec0eb017424b1b9a0cdf432c859",
+        "3efcc1a049498877ee8b27cd0e76cef863358507dbba91dab6eb76fc4cbae5ac",
     (GroupId.SO21, complex(0.3, -0.0), -0.25):
-        "3050f10ff6533a72e7dec7225a801ad0ca8d6cf7b1712a8a7d0a978805c7ba80",
+        "0790ec8761de86c6f8e75f3976abae20e3c0ab9fde241a217e0b5358735a216c",
     (GroupId.SO21, -0.0, 0.25):
-        "7ba755c7a16ef601968137d72d72266f1449523bc4c5d67e8c51dafae7d7b753",
+        "062933535f1fe9db48c58ce63f76a7ca5d084162548895f4ae16c0f21aede5d7",
 }
 
 

@@ -30,7 +30,7 @@ from lsb_lab.scenario import (
     write_csv,
     write_report,
 )
-from lsb_lab.errors import ScenarioError
+from lsb_lab.errors import DivergenceError, ScenarioError
 
 RIGID_RAW = {
     "group": "so3",
@@ -360,8 +360,8 @@ def test_compare_table_truncates_on_divergence():
     scn = Scenario(_riccati(integrator="euler",
                             initial={"x0": 0.5, "p0": 1.0}))
     header, rows, escape = compare_table(scn)
-    assert escape == pytest.approx(0.968278, abs=1e-5)
-    assert rows[-1][0] <= 0.963 + 1e-12
+    assert escape == pytest.approx(0.885107, abs=1e-5)
+    assert rows[-1][0] <= 0.885 + 1e-12
 
 
 def test_cli_simulate_writes_csv(tmp_path):
@@ -485,7 +485,7 @@ def test_cli_divergence_exit(tmp_path, capsys):
                                      initial={"x0": 0.5, "p0": 1.0}))
     assert main(["simulate", path, "--out", str(tmp_path / "d")]) == 3
     err = capsys.readouterr().err
-    assert "0.968" in err
+    assert "0.885107" in err
     assert main(["compare", path]) == 3
     captured = capsys.readouterr()
     assert "truncated" in captured.out + captured.err
@@ -594,17 +594,19 @@ def test_console_script_entry_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, unbuffered",
                          [("verify", False), ("verify", True),
-                          ("--help", False), ("--version", False)],
+                          ("--help", False), ("--version", False),
+                          ("--help", True), ("--version", True)],
                          ids=["block-buffered", "unbuffered", "help",
-                              "version"])
+                              "version", "help-unbuffered",
+                              "version-unbuffered"])
 def test_closed_stdout_pipe_ends_the_process_quietly(tmp_path, command,
                                                      unbuffered):
     """A reader gone before the process writes, as `| head` leaves it, ends
     the process with exit code 141 and nothing on stderr.  Block-buffered,
     stdout meets the closed pipe at run's flush, after every output file
     is written; unbuffered, at main's first print.  argparse's --help and
-    --version text meets it at the flush run makes before their SystemExit
-    goes on to normal shutdown."""
+    --version text meets it where argparse writes and flushes it, buffered
+    or not, before its SystemExit."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -834,8 +836,35 @@ def test_diverged_line_extremal_is_integrated_once(tmp_path, monkeypatch,
     code = main(["verify", path, "--out", str(tmp_path),
                  "--set", 'checks=["closed_form", "action_equality"]'])
     assert code == 3
-    assert "extremal escaped near t = 0.968" in capsys.readouterr().err
+    assert "extremal escaped near t = 0.885107" in capsys.readouterr().err
     assert calls["integrate_extremal"] == 1
+
+
+# the escaping demo's exact pole, (pi/2 - arctan 0.5) / 1.25
+_ESCAPING_POLE = (np.pi / 2.0 - np.arctan(0.5)) / 1.25
+
+
+@pytest.mark.parametrize("integrator,step,tol", [
+    ("rk4", 1e-2, 1e-8), ("rk4", 1e-3, 1e-8), ("rk4", 1e-4, 1e-8),
+    ("euler", 1e-2, 1e-2), ("euler", 1e-3, 1e-3), ("euler", 1e-4, 1e-4)])
+def test_escaping_demo_stops_at_its_pole(integrator, step, tol):
+    # the sign change of u2, refined by cubic Hermite interpolation: rk4
+    # lands 2.4e-9, 2.4e-13 and 4e-15 from t*, euler 6.0e-3, 6.1e-4 and
+    # 6.1e-5 early
+    raw = apply_overrides(
+        load_raw(os.path.join(DEMOS, "riccati_sl2r_escaping.json")),
+        [f"integrator={integrator}"], step=step)
+    with pytest.raises(DivergenceError) as info:
+        Scenario(raw).line_extremal
+    assert abs(info.value.escape_time - _ESCAPING_POLE) <= tol
+
+
+def test_cli_escaping_demo_exits_3_under_rk4(tmp_path, capsys):
+    path = os.path.join(DEMOS, "riccati_sl2r_escaping.json")
+    assert main(["simulate", path, "--out", str(tmp_path),
+                 "--set", "integrator=rk4"]) == 3
+    assert capsys.readouterr().err.startswith("diverged near t = 0.885719: ")
+    assert not os.listdir(tmp_path)
 
 
 def _rigid_demo_with_costate(tmp_path, p0):

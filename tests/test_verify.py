@@ -345,7 +345,7 @@ def test_closed_form_divergence_becomes_failing_entry():
     assert res.name == "closed_form"
     assert not res.passed
     assert res.max_residual == np.inf
-    assert "diverged near t = 0.968" in res.details
+    assert "diverged near t = 0.885107" in res.details
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -367,17 +367,20 @@ def test_closed_form_stationary_example():
 
 def _scale_costate_rate(monkeypatch, scale):
     """Make the line march step p' scaled by scale (a defect injected into
-    the march only; the checks keep their own formulas)."""
-    loop = lsb_lab.dynamics._line_loop
+    the march only; the checks keep their own formulas).  The Clebsch
+    costate q gains the rate kappa q, which moves the readout p = q1 u2
+    alone: x' and the Lin constraint q^T u = 0 keep their rates."""
+    build = lsb_lab.dynamics._clebsch_field
 
     def defective(*args):
-        control, field = loop(*args)
+        field = build(*args)
 
-        def scaled(x, p):
-            xdot, pdot = field(x, p)
-            return xdot, scale * pdot
-        return control, scaled
-    monkeypatch.setattr("lsb_lab.dynamics._line_loop", defective)
+        def scaled(u1, u2, q1, q2):
+            du1, du2, dq1, dq2 = field(u1, u2, q1, q2)
+            kappa = (scale - 1.0) * (dq1 * u2 + q1 * du2) / (q1 * u2)
+            return du1, du2, dq1 + kappa * q1, dq2 + kappa * q2
+        return scaled
+    monkeypatch.setattr("lsb_lab.dynamics._clebsch_field", defective)
 
 
 COSTATE_DEFECTS = pytest.mark.parametrize(
@@ -392,7 +395,7 @@ COSTATE_DEFECTS = pytest.mark.parametrize(
 ])
 def test_hamiltonian_conservation_catches_costate_defects(
         monkeypatch, group, x0, p0, scale):
-    # measured drift at h = 1e-2: <= 5.1e-11 on the true loop, 3.9e-4 and
+    # measured drift at h = 1e-2: <= 1.6e-10 on the true loop, 3.9e-4 and
     # more with a defect
     B = ConnectionCoefficients((1.1, 0.7, 1.3))
     J = inertia_diagonal(group, 1.0, 2.0, 1.5)
@@ -424,17 +427,11 @@ def test_hamiltonian_conservation_closes_the_costate_blind_spot(
 def _scale_feedback_plus(monkeypatch, factor):
     """Make the line march store xi_+ scaled by factor; its (x, p) flow
     is untouched."""
-    loop = lsb_lab.dynamics._line_loop
+    feedback = lsb_lab.dynamics._line_feedback
 
     def defective(*args):
-        control, field = loop(*args)
-
-        def scaled(x, p):
-            xi = control(x, p)
-            xi[0] *= factor
-            return xi
-        return scaled, field
-    monkeypatch.setattr("lsb_lab.dynamics._line_loop", defective)
+        return feedback(*args) * (factor, 1.0, 1.0)
+    monkeypatch.setattr("lsb_lab.dynamics._line_feedback", defective)
 
 
 def _scale_reduced_field(monkeypatch, factor):
@@ -460,7 +457,7 @@ def _perturb_first_inertia(monkeypatch, eps):
 
 def _third_order_stepper(monkeypatch):
     """Kutta's third-order scheme in place of every reduced-flow step."""
-    def stepper(method, f, h):
+    def stepper(method, f, h, n):
         def step(k, y):
             a = f(*y)
             b = f(*(v + 0.5 * h * da for v, da in zip(y, a)))
@@ -468,7 +465,7 @@ def _third_order_stepper(monkeypatch):
             return tuple(v + h / 6.0 * (da + 4.0 * db + dc)
                          for v, da, db, dc in zip(y, a, b, c))
         return step
-    monkeypatch.setattr("lsb_lab.dynamics._euler_poincare_step", stepper)
+    monkeypatch.setattr("lsb_lab.dynamics._autonomous_step", stepper)
 
 
 _LINE_CHECKS = ["cross_ratio", "action_equality", "hamiltonian_conservation"]
